@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-json bench-diff fuzz fuzz-wire fuzz-wal fuzz-churn fuzz-rollup wal-torture lint docs-check recovery-equivalence streaming-equivalence serving-soak alloc-budget shard-equivalence shard-smoke sharded-10k ci
+.PHONY: build test bench bench-json bench-diff fuzz fuzz-wire fuzz-wal fuzz-churn fuzz-rollup wal-torture bench-smoke-repo lint docs-check recovery-equivalence streaming-equivalence serving-soak alloc-budget shard-equivalence shard-smoke sharded-10k ci
 
 build:
 	$(GO) build ./...
@@ -72,9 +72,17 @@ fuzz-rollup:
 # The WAL crash-point torture gate: kill a disk-backed node at every log
 # record boundary of a recorded run — torn mid-record writes and a torn
 # header included — restart it, and require convergence on exactly the
-# uninterrupted run's rows (see docs/storage.md).
+# uninterrupted run's rows; and cut a serving node's group-committed log at
+# every boundary and commit offset, each cut replaying to the live node's
+# state at that tick (see docs/storage.md).
 wal-torture:
-	$(GO) test -count=1 -run 'TestWALTorture' -v ./internal/cluster
+	$(GO) test -count=1 -run 'TestWALTorture' -v ./internal/cluster ./internal/store
+
+# The repo benchmark's own smoke test: bench/ is a separate module, so
+# neither `go test ./...` nor the race run reaches it. A change to an API it
+# imports must keep it building and its short workloads correct.
+bench-smoke-repo:
+	cd bench && $(GO) test -count=1 .
 
 # The recovery-equivalence gate: kill/restart mid-run must converge to the
 # byte-identical tables, objectives, and solver traces of an uninterrupted
@@ -127,7 +135,7 @@ sharded-10k:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-ci: lint build test docs-check
+ci: lint build test docs-check bench-smoke-repo
 	$(GO) test -count=1 -run 'TestEnginesMatchBruteForce|TestEventEngineTraceMatchesLegacy' ./internal/solver
 	$(GO) test -count=1 -run 'TestIncrementalGroundEquivalence' ./internal/core
 	$(GO) test -count=1 -run 'TestStreamingGroundEquivalence' ./internal/core
@@ -135,7 +143,7 @@ ci: lint build test docs-check
 	$(GO) test -count=1 -run 'TestClusterEquivalence' ./internal/acloud ./internal/followsun ./internal/wireless
 	$(GO) test -race -run TestCluster ./internal/cluster/...
 	$(GO) test -count=1 -run 'TestRecovery' ./internal/cluster ./internal/acloud ./internal/followsun ./internal/wireless
-	$(GO) test -count=1 -run 'TestWALTorture' ./internal/cluster
+	$(GO) test -count=1 -run 'TestWALTorture' ./internal/cluster ./internal/store
 	$(GO) test -race -count=1 -run 'TestServingSoakEquivalence' ./internal/serve
 	$(GO) test -count=1 -run 'TestShard|TestClusterShardEquivalence' ./internal/cluster ./internal/acloud ./internal/followsun ./internal/wireless
 	$(GO) test -count=1 -run 'TestShardMultiProcess' ./internal/wireless

@@ -1086,9 +1086,9 @@ func BenchmarkResync(b *testing.B) {
 }
 
 // BenchmarkWALAppend measures the write-ahead log's append path on
-// update-record-sized payloads, with and without per-record fsync — the
-// per-transition durability overhead every visible state change pays under
-// store=disk.
+// update-record-sized payloads: "nosync" is a plain append (what a record
+// costs between commit points), "fsync" commits after every record (the
+// worst case, a commit point per transition, under -store-fsync).
 func BenchmarkWALAppend(b *testing.B) {
 	payload := make([]byte, 64) // a typical update record
 	for i := range payload {
@@ -1109,6 +1109,9 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := w.Append(payload); err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Sync(); err != nil {
 					b.Fatal(err)
 				}
 			}

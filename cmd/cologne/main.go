@@ -99,11 +99,11 @@ func registerFlags(fs *flag.FlagSet) *cliOptions {
 		clusterSched: fs.String("cluster-scheduling", "",
 			"epoch item scheduling policy: 'cost' (default; start\npredicted-expensive items first) or 'fifo' (item order); results are\nidentical either way"),
 		storeKind: fs.String("store", "memory",
-			"per-node storage backend: 'memory' (tables live in process memory)\nor 'disk' (every visible transition goes through an append-only\nwrite-ahead log and tables spill to disk; a restarted cluster node\nreplays its local log before resyncing — see docs/storage.md)"),
+			"per-node storage backend: 'memory' (tables live in process memory)\nor 'disk' (tables still live in memory, and every visible transition\nalso goes through an append-only write-ahead log; a restarted cluster\nnode replays its local log before resyncing — see docs/storage.md)"),
 		storeDir: fs.String("store-dir", "",
 			"directory for -store disk data, one subdirectory per node\n(default: a temporary directory removed on exit)"),
 		storeFsync: fs.Bool("store-fsync", false,
-			"fsync the write-ahead log after every record: full\npower-loss durability at a per-transition cost (default: rely on\nthe OS page cache; process crashes still lose nothing)"),
+			"fsync the write-ahead log at each commit point (before a decision\nis returned or a message is sent): power-loss durability for\neverything published, one sync per tick (default: rely on the OS\npage cache; process crashes still lose nothing)"),
 		shardCount: fs.Int("shard-count", 0,
 			"partition a clustered run's nodes into N key-range shards and\naggregate per-epoch summaries hierarchically (see docs/sharding.md);\n0 or 1 leaves the run unsharded"),
 		shardAgg: fs.String("shard-agg", "",

@@ -99,9 +99,9 @@ type Options struct {
 	// between epochs). A returned error fails the RunEpoch call.
 	AfterEpoch func(r *Runtime, epoch int) error
 	// Storage selects the per-node storage backend: "" or "memory" keeps
-	// every node's state in RAM (the pre-storage behavior), "disk" gives
-	// each node a write-ahead delta log plus spill tables under its own
-	// subdirectory of StorageDir (see internal/store and docs/storage.md).
+	// every node's state in RAM (the pre-storage behavior), "disk" also
+	// gives each node a write-ahead delta log under its own subdirectory
+	// of StorageDir (see internal/store and docs/storage.md).
 	// With "disk", RestartNode rebuilds a failed node by replaying its
 	// local log before the anti-entropy resync, so resync pulls only the
 	// outage window instead of the node's whole history.
@@ -109,10 +109,11 @@ type Options struct {
 	// StorageDir is the root directory for "disk" storage; empty means a
 	// temporary directory that Close removes.
 	StorageDir string
-	// StorageFsync forces an fsync after every log append ("disk" only):
-	// the paper-grade durability guarantee, at a heavy per-update cost.
-	// Off, durability extends to what the OS has flushed — crash-consistent
-	// either way, since replay drops any torn tail.
+	// StorageFsync fsyncs the log at every commit point ("disk" only):
+	// before a node publishes a decision or sends a message, so nothing
+	// visible outside a node can be lost by an OS crash. Off, durability
+	// extends to what the OS has flushed — crash-consistent either way,
+	// since replay drops any torn tail.
 	StorageFsync bool
 	// Shards partitions the node address space into key-range shards (see
 	// docs/sharding.md). The zero value is one implicit shard, which keeps

@@ -34,10 +34,9 @@ func (n *Node) ExportCheckpoint() ([]byte, error) {
 
 // CheckpointAndCompact exports a checkpoint and — when the node has a
 // durable delta log — compacts the log down to a single checkpoint record,
-// truncating the replayable prefix, and reclaims table-file space. The
-// export, log reset, and compaction happen under one hold of the node
-// lock, so no transition can land between the exported state and the
-// truncated log (which would make replay skip it).
+// truncating the replayable prefix. The export and the log reset happen
+// under one hold of the node lock, so no transition can land between the
+// exported state and the truncated log (which would make replay skip it).
 func (n *Node) CheckpointAndCompact() ([]byte, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -50,9 +49,6 @@ func (n *Node) CheckpointAndCompact() ([]byte, error) {
 	rec = append(rec, data...)
 	if err := n.wal.Reset(rec); err != nil {
 		return data, fmt.Errorf("core: compacting log of %s: %w", n.Addr, err)
-	}
-	if err := n.store.Compact(); err != nil {
-		return data, fmt.Errorf("core: compacting tables of %s: %w", n.Addr, err)
 	}
 	return data, nil
 }
@@ -78,10 +74,10 @@ func (n *Node) exportCheckpointLocked() ([]byte, error) {
 		buf = appendWireString(buf, name)
 		buf = binary.AppendUvarint(buf, uint64(t.arity))
 		buf = binary.AppendUvarint(buf, t.nextSeq)
-		rows := make([]store.Row, 0, t.rows.Len())
-		t.rows.Range(func(r store.Row) {
+		rows := make([]store.Row, 0, len(t.rows))
+		for _, r := range t.rows {
 			rows = append(rows, r)
-		})
+		}
 		sort.Slice(rows, func(i, j int) bool { return rows[i].Seq < rows[j].Seq })
 		buf = binary.AppendUvarint(buf, uint64(len(rows)))
 		for _, r := range rows {
@@ -222,7 +218,7 @@ func (n *Node) ImportCheckpoint(data []byte) error {
 
 	// Reset every table and the derived runtime state.
 	for _, t := range n.tables {
-		t.rows.Clear()
+		t.rows = map[string]store.Row{}
 		t.nextSeq = 0
 		t.freedSeq = nil
 		t.dropIndexes()
@@ -297,7 +293,7 @@ func (n *Node) ImportCheckpoint(data []byte) error {
 				return fail("row arity")
 			}
 			t.keyScratch = t.appendRowKey(t.keyScratch[:0], vals)
-			t.rows.Put(t.keyScratch, store.Row{Vals: vals, Count: int(count), Base: int(base), Seq: seq})
+			t.rows[string(t.keyScratch)] = store.Row{Vals: vals, Count: int(count), Base: int(base), Seq: seq}
 		}
 		nFreed, w := binary.Uvarint(rest)
 		if w <= 0 {

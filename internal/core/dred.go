@@ -196,11 +196,11 @@ func (n *Node) recomputeGroup(gi int) error {
 		if t == nil {
 			continue
 		}
-		t.rows.Range(func(r store.Row) {
+		for _, r := range t.rows {
 			if r.Base > 0 {
 				work[p][valsKey(r.Vals)] = r.Vals
 			}
-		})
+		}
 	}
 	rowsOf := func(pred string) [][]colog.Value {
 		if m, in := work[pred]; in {
@@ -242,12 +242,12 @@ func (n *Node) recomputeGroup(gi int) error {
 		oldRows := map[string][]colog.Value{}
 		baseOf := map[string]int{}
 		seqOf := map[string]uint64{}
-		t.rows.Range(func(r store.Row) {
+		for _, r := range t.rows {
 			k := valsKey(r.Vals)
 			oldRows[k] = r.Vals
 			baseOf[k] = r.Base
 			seqOf[k] = r.Seq
-		})
+		}
 		newRows := work[p]
 		// Fresh rows get arrival numbers in deterministic (sorted-key) order;
 		// surviving rows keep theirs.
@@ -262,16 +262,16 @@ func (n *Node) recomputeGroup(gi int) error {
 			seqOf[k] = t.nextSeq
 			t.nextSeq++
 		}
-		t.rows.Clear()
+		t.rows = make(map[string]store.Row, len(newRows))
 		t.dropIndexes()
 		t.dropScanCache()
 		for k, vals := range newRows {
-			t.rows.Put([]byte(keyOf(vals, t.keyCols)), store.Row{
+			t.rows[keyOf(vals, t.keyCols)] = store.Row{
 				Vals:  vals,
 				Count: 1,
 				Base:  baseOf[k],
 				Seq:   seqOf[k],
-			})
+			}
 		}
 		for k, vals := range oldRows {
 			if _, kept := newRows[k]; !kept {

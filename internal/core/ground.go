@@ -271,10 +271,15 @@ func (r *SolveResult) Feasible() bool {
 // Solve grounds the program's solver rules against the current database,
 // runs the constraint solver, and materializes the optimization output
 // (goal and var tables) back into the engine, triggering downstream rule
-// reevaluation.
+// reevaluation. The log is committed before the result is returned; a
+// failed commit returns only the error.
 func (n *Node) Solve(opts SolveOptions) (*SolveResult, error) {
 	n.mu.Lock()
 	res, err := n.solveLocked(opts)
+	if cerr := n.commit(); cerr != nil {
+		n.mu.Unlock()
+		return nil, cerr
+	}
 	if n.holding {
 		n.mu.Unlock()
 		return res, err

@@ -89,9 +89,10 @@ type Config struct {
 	// backend with a write-ahead log (store.Open("disk", ...)) makes every
 	// visible transition durable: the node logs external updates, solver
 	// materializations, and resync outcomes, and ReplayNode can rebuild
-	// the node's exact state from the log alone. The same Store value must
-	// be handed back on restart — its table files and log are the node's
-	// persistent identity.
+	// the node's exact state from the log alone. Records become durable at
+	// the node's commit points (see commit in wal.go). The same Store value
+	// must be handed back on restart — its log is the node's persistent
+	// identity.
 	Storage store.Store
 	// DeferFacts skips the program-fact load inside NewNode; the caller
 	// must invoke InsertProgramFacts itself once every peer the facts'
@@ -154,13 +155,12 @@ type Node struct {
 	// in-progress chunked resync sessions, and the pull counters.
 	repl replica
 
-	// Storage backend and its write-ahead delta log (nil log for the
-	// in-memory backend). During replay (see wal.go) the node re-executes
-	// its logged transitions with logging and transmission suppressed;
+	// The storage backend's write-ahead delta log (nil for the in-memory
+	// backend). During replay (see wal.go) the node re-executes its logged
+	// transitions with logging and transmission suppressed;
 	// replayRecs/replayPos form the record cursor that lets a replayed
 	// invokeSolver event consume the logged solver outcome instead of
 	// re-running the solver.
-	store      store.Store
 	wal        *store.WAL
 	replaying  bool
 	replayRecs [][]byte
@@ -238,36 +238,19 @@ func newNode(addr string, res *analysis.Result, cfg Config, tr transport.Transpo
 		aggs:             map[int]*aggState{},
 		lastMaterialized: map[string][]Tuple{},
 	}
-	st := cfg.Storage
-	if st == nil {
-		st = store.NewMemory()
+	if cfg.Storage != nil {
+		n.wal = cfg.Storage.Log()
 	}
-	n.store = st
-	n.wal = st.Log()
 	events := map[string]bool{InvokeSolverPred: true}
 	for _, e := range cfg.Events {
 		events[e] = true
 	}
 	keys := inferShipKeys(res, cfg.Keys, res.Program.Rules)
 	for name, ti := range res.Tables {
-		rows, err := tableRows(st, name, ti.Arity, events[name])
-		if err != nil {
-			return nil, fmt.Errorf("core: opening table %s at %s: %w", name, addr, err)
-		}
-		n.tables[name] = newTable(name, ti.Arity, keys[name], events[name], rows)
+		n.tables[name] = newTable(name, ti.Arity, keys[name], events[name])
 	}
 	if _, ok := n.tables[InvokeSolverPred]; !ok {
-		n.tables[InvokeSolverPred] = newTable(InvokeSolverPred, 0, nil, true, store.NewMemTable())
-	}
-	if cfg.Storage != nil {
-		// A caller-supplied backend may be a survivor of a previous node
-		// generation (restart): its tables still hold the pre-crash rows.
-		// Every construction path starts from empty tables — NewNode
-		// re-inserts program facts, RestoreNode installs the checkpoint,
-		// ReplayNode re-executes the log.
-		for _, t := range n.tables {
-			t.rows.Clear()
-		}
+		n.tables[InvokeSolverPred] = newTable(InvokeSolverPred, 0, nil, true)
 	}
 	n.dirtyGroups = map[int]bool{}
 	n.repl.init()
@@ -276,16 +259,6 @@ func newNode(addr string, res *analysis.Result, cfg Config, tr transport.Transpo
 		tr.Register(addr, n.handleMessage)
 	}
 	return n, nil
-}
-
-// tableRows picks the RowStore for a table: event tables are never stored
-// (their deltas stream through once), so they always get a throwaway
-// in-memory store; everything else comes from the backend.
-func tableRows(st store.Store, name string, arity int, event bool) (store.RowStore, error) {
-	if event {
-		return store.NewMemTable(), nil
-	}
-	return st.Table(name, arity)
 }
 
 // Stats returns evaluation counters.
@@ -459,11 +432,22 @@ func (n *Node) takeOutbox() []outMsg {
 }
 
 // flush transmits buffered messages. Must be called without holding n.mu.
-// With Config.BatchDeltas, messages to the same destination coalesce into
-// one batch frame (delta order within a destination is preserved). Payload
-// buffers return to the wire pool once the transport has consumed them
-// (Send must not retain the payload after it returns).
+// It is a commit point: the log records behind the messages are synced
+// first, and nothing is sent if that fails. With Config.BatchDeltas,
+// messages to the same destination coalesce into one batch frame (delta
+// order within a destination is preserved). Payload buffers return to the
+// wire pool once the transport has consumed them (Send must not retain the
+// payload after it returns).
 func (n *Node) flush(out []outMsg) error {
+	if len(out) == 0 {
+		return nil
+	}
+	if err := n.commit(); err != nil {
+		for _, m := range out {
+			putWireBuf(m.payload)
+		}
+		return err
+	}
 	if n.cfg.BatchDeltas && len(out) > 1 {
 		return n.flushBatched(out)
 	}

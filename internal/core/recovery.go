@@ -377,6 +377,9 @@ func (n *Node) StartResync(peers []string) error {
 		outs = append(outs, out{peer, n.buildDigestFramesLocked(peer, resyncModeBidi, n.repl.xid)})
 	}
 	n.mu.Unlock()
+	if err := n.commit(); err != nil {
+		return err
+	}
 	var firstErr error
 	for _, o := range outs {
 		for _, f := range o.frames {
@@ -495,6 +498,9 @@ func (n *Node) handleResyncDigest(from string, payload []byte) error {
 		reverse = n.buildDigestFramesLocked(from, resyncModePull, n.repl.xid)
 	}
 	n.mu.Unlock()
+	if err := n.commit(); err != nil {
+		return err
+	}
 
 	var firstErr error
 	for _, f := range frames {

@@ -18,17 +18,17 @@ import (
 //   - Event tables (e.g. the solver's materialized migVm output) are never
 //     stored: their deltas stream through the rules exactly once.
 //
-// Row storage is pluggable (see internal/store): rows live in a RowStore —
-// an in-memory map by default, a disk-backed spill table under the durable
-// backend. The table keeps all ordering state (seq numbers, freed-seq
-// tombstones, scan caches) itself, so enumeration order is byte-identical
-// whichever backend holds the rows.
+// Rows live in memory under whichever storage backend the node runs on;
+// a durable backend logs the node's transitions (see internal/store), never
+// the rows. The table keeps all ordering state (seq numbers, freed-seq
+// tombstones, scan caches) itself, so enumeration order is a function of
+// the update sequence alone.
 type table struct {
 	name     string
 	arity    int
 	keyCols  []int // nil = whole row is the key (set semantics)
 	event    bool
-	rows     store.RowStore // key -> row
+	rows     map[string]store.Row // key -> row
 	indexes  map[string]*tableIndex
 	indexGen uint64 // bumped on dropIndexes; validates cached index pointers
 	// keyScratch is reused for building row keys, so lookups and deletes
@@ -59,8 +59,8 @@ func (t *table) appendRowKey(dst []byte, vals []colog.Value) []byte {
 	return dst
 }
 
-func newTable(name string, arity int, keyCols []int, event bool, rows store.RowStore) *table {
-	return &table{name: name, arity: arity, keyCols: keyCols, event: event, rows: rows}
+func newTable(name string, arity int, keyCols []int, event bool) *table {
+	return &table{name: name, arity: arity, keyCols: keyCols, event: event, rows: map[string]store.Row{}}
 }
 
 // delta is a pending tuple change with a sign (+1 insert, -1 delete).
@@ -92,14 +92,15 @@ func (t *table) apply(vals []colog.Value, sign int, derived bool) (out [2]delta,
 	}
 	t.keyScratch = t.appendRowKey(t.keyScratch[:0], vals)
 	kb := t.keyScratch
-	existing, exists := t.rows.Get(kb)
+	existing, exists := t.rows[string(kb)]
 	if sign > 0 {
 		var seq uint64
 		if exists {
 			if valsEqual(existing.Vals, vals) {
-				// Count bump only: the stored values are untouched, so the
-				// backend can absorb it without rewriting the row.
-				t.rows.SetCounts(kb, existing.Count+1, existing.Base+baseInc)
+				// Count bump only: the stored values are untouched.
+				existing.Count++
+				existing.Base += baseInc
+				t.rows[string(kb)] = existing
 				return out, 0
 			}
 			// Keyed replacement: retract the old row first. The new row
@@ -108,7 +109,6 @@ func (t *table) apply(vals []colog.Value, sign int, derived bool) (out [2]delta,
 			out[n] = delta{Tuple{t.name, existing.Vals}, -1, derived}
 			n++
 			t.indexRemove(existing.Vals)
-			t.rows.Delete(kb)
 		} else if s, had := t.freedSeq[string(kb)]; had {
 			seq = s
 			delete(t.freedSeq, string(kb))
@@ -123,7 +123,7 @@ func (t *table) apply(vals []colog.Value, sign int, derived bool) (out [2]delta,
 		if !derived {
 			stored = append([]colog.Value(nil), vals...)
 		}
-		t.rows.Put(kb, store.Row{Vals: stored, Count: 1, Base: baseInc, Seq: seq})
+		t.rows[string(kb)] = store.Row{Vals: stored, Count: 1, Base: baseInc, Seq: seq}
 		t.indexInsert(stored, seq)
 		t.stableCache = nil
 		out[n] = delta{Tuple{t.name, vals}, +1, derived}
@@ -139,14 +139,14 @@ func (t *table) apply(vals []colog.Value, sign int, derived bool) (out [2]delta,
 		existing.Base--
 	}
 	if existing.Count <= 0 {
-		t.rows.Delete(kb)
+		delete(t.rows, string(kb))
 		t.indexRemove(existing.Vals)
 		t.stableCache = nil
 		t.rememberSeq(string(kb), existing.Seq)
 		out[0] = delta{Tuple{t.name, existing.Vals}, -1, derived}
 		n = 1
 	} else {
-		t.rows.SetCounts(kb, existing.Count, existing.Base)
+		t.rows[string(kb)] = existing
 	}
 	return out, n
 }
@@ -154,16 +154,16 @@ func (t *table) apply(vals []colog.Value, sign int, derived bool) (out [2]delta,
 // contains reports whether the exact row is visible.
 func (t *table) contains(vals []colog.Value) bool {
 	t.keyScratch = t.appendRowKey(t.keyScratch[:0], vals)
-	r, ok := t.rows.Get(t.keyScratch)
+	r, ok := t.rows[string(t.keyScratch)]
 	return ok && valsEqual(r.Vals, vals)
 }
 
 // snapshot returns the visible rows sorted deterministically.
 func (t *table) snapshot() [][]colog.Value {
-	out := make([][]colog.Value, 0, t.rows.Len())
-	t.rows.Range(func(r store.Row) {
+	out := make([][]colog.Value, 0, len(t.rows))
+	for _, r := range t.rows {
 		out = append(out, r.Vals)
-	})
+	}
 	sort.Slice(out, func(i, j int) bool {
 		return valsKey(out[i]) < valsKey(out[j])
 	})
@@ -175,7 +175,7 @@ func (t *table) rememberSeq(key string, seq uint64) {
 	if t.freedSeq == nil {
 		t.freedSeq = map[string]uint64{}
 	}
-	if len(t.freedSeq) > 4*t.rows.Len()+4096 {
+	if len(t.freedSeq) > 4*len(t.rows)+4096 {
 		t.freedSeq = map[string]uint64{} // runaway churn: forfeit stability
 	}
 	t.freedSeq[key] = seq
@@ -204,21 +204,21 @@ func (t *table) snapshotStable() [][]colog.Value {
 // by seq: the enumeration an index build consumes, so freshly built buckets
 // carry rows in exactly snapshotStable order.
 func (t *table) stableSeqRows() []idxRow {
-	rows := make([]idxRow, 0, t.rows.Len())
-	t.rows.Range(func(r store.Row) {
+	rows := make([]idxRow, 0, len(t.rows))
+	for _, r := range t.rows {
 		rows = append(rows, idxRow{r.Seq, r.Vals})
-	})
+	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].seq < rows[j].seq })
 	return rows
 }
 
 // size returns the number of visible rows.
-func (t *table) size() int { return t.rows.Len() }
+func (t *table) size() int { return len(t.rows) }
 
 // clear removes all rows without emitting deltas (used only for test setup
 // and solver-output replacement where deltas are produced explicitly).
 func (t *table) clear() {
-	t.rows.Clear()
+	t.rows = map[string]store.Row{}
 	t.dropIndexes()
 	t.dropScanCache()
 }

@@ -60,10 +60,11 @@ type TickResult struct {
 }
 
 // Tick runs one serving tick: re-ground (incrementally when configured) and
-// re-solve under the tick deadline, then diff the decision rows against the
-// previous tick's. Completed ticks materialize into the engine exactly like
-// Solve; degraded ticks leave the engine untouched and only advance the
-// published-decision snapshot.
+// re-solve under the tick deadline, commit the log, then diff the decision
+// rows against the previous tick's. Completed ticks materialize into the
+// engine exactly like Solve; degraded ticks leave the engine untouched and
+// only advance the published-decision snapshot. A failed commit fails the
+// tick.
 func (n *Node) Tick(opts TickOptions) (*TickResult, error) {
 	n.mu.Lock()
 	sopts := SolveOptions{
@@ -76,6 +77,12 @@ func (n *Node) Tick(opts TickOptions) (*TickResult, error) {
 		sopts.Interrupt = func() bool { return time.Now().After(deadline) }
 	}
 	res, err := n.solveLocked(sopts)
+	if err == nil {
+		// Commit point: the tick's records (admitted churn, the solve
+		// outcome) are durable before its decision is, and a failed commit
+		// publishes nothing and leaves lastDecisions where it was.
+		err = n.commit()
+	}
 	if err != nil {
 		n.mu.Unlock()
 		return nil, err

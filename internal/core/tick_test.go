@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/colog"
+	"repro/internal/store"
 )
 
 func asg(pred string, vals ...colog.Value) Assignment {
@@ -96,6 +97,40 @@ func TestDiffDecisionsRoundTrip(t *testing.T) {
 		if c != 0 {
 			t.Fatalf("delta application left residue %q=%d", k, c)
 		}
+	}
+}
+
+// TestTickCommitFailureKeepsDecisions: a tick whose commit fails returns
+// the error, publishes nothing, and leaves the published-decision baseline
+// where the last committed tick put it.
+func TestTickCommitFailureKeepsDecisions(t *testing.T) {
+	st, err := store.Open("disk", t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newTestNode(t, `
+goal minimize C in cost(C).
+var assign(V,X) forall cand(V).
+r1 cand(V) <- vm(V).
+d1 cost(SUM<X>) <- assign(V,X).
+`, Config{Storage: st})
+	n.Insert("vm", sval("v1"))
+	tr, err := n.Tick(TickOptions{})
+	if err != nil || len(tr.Decisions) != 1 {
+		t.Fatalf("first tick: %+v, %v", tr, err)
+	}
+	if err := st.Log().Close(); err != nil {
+		t.Fatal(err)
+	}
+	n.Insert("vm", sval("v2"))
+	if tr, err := n.Tick(TickOptions{}); err == nil || tr != nil {
+		t.Fatalf("tick over a closed log: %+v, %v", tr, err)
+	}
+	if len(n.lastDecisions) != 1 {
+		t.Fatalf("failed tick advanced the decision baseline to %v", n.lastDecisions)
+	}
+	if res, err := n.Solve(SolveOptions{}); err == nil || res != nil {
+		t.Fatalf("solve over a closed log: %+v, %v", res, err)
 	}
 }
 

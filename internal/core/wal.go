@@ -62,13 +62,29 @@ type resyncMirror struct {
 	entries []mirrorEntry
 }
 
-// walAppend writes one record to the delta log. No-op without a log or
-// during replay. Append failures surface on LastError: the node keeps
-// serving, but its durability guarantee is gone from that point on.
+// walAppend writes one record to the delta log, unsynced. Append failures
+// are sticky in the log: they land on LastError here and fail the next
+// commit, so nothing the log lost is ever published.
 func (n *Node) walAppend(payload []byte) {
 	if err := n.wal.Append(payload); err != nil {
 		n.LastError = fmt.Errorf("core: delta log append at %s: %w", n.Addr, err)
 	}
+}
+
+// commit makes every record logged so far durable — the node's one commit
+// point, passed before anything leaves it: before Tick and Solve return a
+// decision, and before flush or a resync exchange hands frames to the
+// transport. A serving tick's records therefore share one sync, and no
+// decision or message is visible before the records behind it are. No-op
+// without a log; the WAL skips the sync when nothing new was written.
+func (n *Node) commit() error {
+	if n.wal == nil {
+		return nil
+	}
+	if err := n.wal.Sync(); err != nil {
+		return fmt.Errorf("core: committing delta log at %s: %w", n.Addr, err)
+	}
+	return nil
 }
 
 func (n *Node) walUpdate(pred string, vals []colog.Value, sign int, origin string) {

@@ -1,21 +1,17 @@
-// Package store provides the pluggable per-node storage backend: an
-// append-only write-ahead delta log plus a table row store behind the Store
-// interface. The default backend keeps rows in memory and writes no log
-// (exactly the pre-storage behavior); the disk backend persists every
-// visible node transition through a CRC-framed log (see wal.go) and spills
-// table rows to per-table files, in the log-as-the-database style of
-// LogBase: the log is the durable truth, table files are a rebuildable
-// projection, and a checkpoint is a log compaction.
-//
-// Determinism contract: a RowStore preserves the arrival-order sequence
-// numbers the engine assigns (Row.Seq) byte-for-byte, so join enumeration,
-// derivation order, and solver traces are identical whichever backend
-// holds the rows. Range order is NOT part of the contract — every engine
-// consumer re-sorts by seq or canonical key.
+// Package store provides the pluggable per-node storage backend. Table rows
+// always live in the engine's memory (internal/core owns them); a backend
+// only decides whether the node also keeps a write-ahead delta log. The
+// default backend writes no log (exactly the pre-storage behavior); the disk
+// backend persists every visible node transition through a CRC-framed log
+// (see wal.go), in the log-as-the-database style of LogBase: the log is the
+// durable truth and the only file written, rows are an in-memory index
+// rebuilt by replay, and a checkpoint is a log compaction.
 package store
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"repro/internal/colog"
 )
@@ -30,58 +26,22 @@ type Row struct {
 	Vals  []colog.Value
 }
 
-// RowStore holds one table's rows keyed by the engine's canonical row key.
-// Implementations own their copy of the key bytes (callers may reuse the
-// key buffer across calls) but NOT the value slice: the engine never
-// mutates a stored row's Vals in place, so implementations may alias or
-// re-encode them.
-//
-// All methods are called with the owning node's lock held; implementations
-// only need internal locking if they share files across node generations
-// (the disk tables do, across restarts).
-type RowStore interface {
-	// Get returns the row stored under key.
-	Get(key []byte) (Row, bool)
-	// Put inserts or replaces the row stored under key.
-	Put(key []byte, r Row)
-	// SetCounts updates only the count/base bookkeeping of an existing
-	// key, leaving the stored values untouched. The disk backend uses
-	// this to absorb count bumps without appending duplicate value
-	// records. No-op if the key is absent.
-	SetCounts(key []byte, count, base int)
-	// Delete removes the row stored under key, if present.
-	Delete(key []byte)
-	// Len returns the number of live rows.
-	Len() int
-	// Range calls fn for every live row, in unspecified order.
-	Range(fn func(Row))
-	// Clear drops every row.
-	Clear()
-}
-
-// Store is one node's storage backend: a RowStore per table plus, for
-// durable backends, the write-ahead delta log.
+// Store is one node's storage backend: for durable backends, the
+// write-ahead delta log.
 type Store interface {
 	// Kind returns the backend name ("memory" or "disk").
 	Kind() string
 	// Log returns the write-ahead delta log, or nil for non-durable
 	// backends. A nil log means the node neither writes nor replays.
 	Log() *WAL
-	// Table returns the RowStore for a table, creating it on first use.
-	// Repeat calls with the same name return the same RowStore — that is
-	// what lets a restarted node replay into the surviving table files.
-	Table(name string, arity int) (RowStore, error)
-	// Compact reclaims space abandoned by overwrites and deletes in the
-	// table files. It does not touch the log; the engine resets the log
-	// separately (WAL.Reset) under the same lock.
-	Compact() error
-	// Close releases file handles and reports any deferred I/O error.
+	// Close syncs and releases the log and reports any deferred I/O error.
 	Close() error
 }
 
 // Open creates a storage backend by kind. The dir and fsync arguments only
 // apply to the disk backend: dir is the node's private directory (created
-// if missing), fsync forces a sync after every log append.
+// if missing), fsync makes every WAL.Sync (the engine's commit points) an
+// fsync.
 func Open(kind, dir string, fsync bool) (Store, error) {
 	switch kind {
 	case "", "memory":
@@ -92,3 +52,35 @@ func Open(kind, dir string, fsync bool) (Store, error) {
 		return nil, fmt.Errorf("store: unknown kind %q (want memory or disk)", kind)
 	}
 }
+
+// memStore is the default backend: no log.
+type memStore struct{}
+
+// NewMemory returns the in-memory backend.
+func NewMemory() Store { return memStore{} }
+
+func (memStore) Kind() string { return "memory" }
+func (memStore) Log() *WAL    { return nil }
+func (memStore) Close() error { return nil }
+
+// diskStore is the durable backend: one write-ahead delta log per node,
+// wal.log under the node's private directory.
+type diskStore struct{ wal *WAL }
+
+func openDisk(dir string, fsync bool) (Store, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("store: disk backend needs a directory")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	wal, err := OpenWAL(filepath.Join(dir, "wal.log"), fsync)
+	if err != nil {
+		return nil, err
+	}
+	return diskStore{wal: wal}, nil
+}
+
+func (s diskStore) Kind() string { return "disk" }
+func (s diskStore) Log() *WAL    { return s.wal }
+func (s diskStore) Close() error { return s.wal.Close() }

@@ -4,13 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
-
-	"repro/internal/colog"
 )
-
-func vals(vs ...colog.Value) []colog.Value { return vs }
 
 func TestWALAppendReadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
@@ -213,106 +208,91 @@ func TestOpenDispatch(t *testing.T) {
 	}
 }
 
-// TestRowStoreEquivalence drives the memory and disk RowStores through the
-// same operation sequence and checks they agree at every step — the
-// backend-independence contract the engine's determinism rests on.
-func TestRowStoreEquivalence(t *testing.T) {
-	d, err := Open("disk", t.TempDir(), false)
+// TestDiskStoreWritesOnlyTheLog: the disk backend's directory holds the
+// write-ahead log and nothing else.
+func TestDiskStoreWritesOnlyTheLog(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open("disk", dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	mem := NewMemTable()
-	disk, err := d.Table("rows", 3)
+	if err := d.Log().Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	check := func(step string) {
-		t.Helper()
-		if mem.Len() != disk.Len() {
-			t.Fatalf("%s: len %d != %d", step, mem.Len(), disk.Len())
+	if len(entries) != 1 || entries[0].Name() != "wal.log" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
 		}
-		collect := func(rs RowStore) []Row {
-			var out []Row
-			rs.Range(func(r Row) { out = append(out, r) })
-			sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-			return out
-		}
-		a, b := collect(mem), collect(disk)
-		for i := range a {
-			if a[i].Seq != b[i].Seq || a[i].Count != b[i].Count || a[i].Base != b[i].Base {
-				t.Fatalf("%s: row %d meta mismatch: %+v vs %+v", step, i, a[i], b[i])
-			}
-			if len(a[i].Vals) != len(b[i].Vals) {
-				t.Fatalf("%s: row %d arity mismatch", step, i)
-			}
-			for j := range a[i].Vals {
-				if !a[i].Vals[j].Equal(b[i].Vals[j]) {
-					t.Fatalf("%s: row %d val %d mismatch", step, i, j)
-				}
-			}
-		}
+		t.Fatalf("disk store wrote %v, want only wal.log", names)
 	}
-
-	put := func(key string, r Row) {
-		mem.Put([]byte(key), r)
-		disk.Put([]byte(key), r)
-	}
-	put("a", Row{Seq: 1, Count: 1, Base: 1, Vals: vals(colog.StringVal("n1"), colog.IntVal(7), colog.BoolVal(true))})
-	put("b", Row{Seq: 2, Count: 2, Base: 0, Vals: vals(colog.StringVal("n2"), colog.FloatVal(2.5), colog.BoolVal(false))})
-	put("c", Row{Seq: 3, Count: 1, Base: 1, Vals: vals(colog.StringVal(""), colog.IntVal(-9), colog.IntVal(0))})
-	check("insert")
-
-	// Overwrite under the same key (keyed replacement keeps the key).
-	put("b", Row{Seq: 2, Count: 1, Base: 1, Vals: vals(colog.StringVal("n2"), colog.FloatVal(-3.25), colog.BoolVal(true))})
-	check("overwrite")
-
-	mem.SetCounts([]byte("a"), 5, 2)
-	disk.SetCounts([]byte("a"), 5, 2)
-	mem.SetCounts([]byte("zz"), 9, 9) // absent: no-op
-	disk.SetCounts([]byte("zz"), 9, 9)
-	check("setcounts")
-
-	if r, ok := disk.Get([]byte("a")); !ok || r.Count != 5 || r.Base != 2 {
-		t.Fatalf("disk Get after SetCounts: %+v ok=%v", r, ok)
-	}
-
-	mem.Delete([]byte("c"))
-	disk.Delete([]byte("c"))
-	check("delete")
-
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check("compact")
-
-	mem.Clear()
-	disk.Clear()
-	check("clear")
-
-	put("d", Row{Seq: 9, Count: 1, Base: 1, Vals: vals(colog.IntVal(42))})
-	check("insert-after-clear")
 }
 
-func TestDiskTableSurvivesManyOverwrites(t *testing.T) {
-	d, err := Open("disk", t.TempDir(), false)
+// TestWALSyncOnlyWhenDirty: appends never sync; Sync fsyncs once per batch
+// of new records and only with fsync on; Close syncs an unsynced tail.
+func TestWALSyncOnlyWhenDirty(t *testing.T) {
+	w, err := OpenWAL(filepath.Join(t.TempDir(), "wal.log"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	rs, err := d.Table("hot", 1)
+	sync := func(want int64) {
+		t.Helper()
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if w.syncs != want {
+			t.Fatalf("syncs = %d, want %d", w.syncs, want)
+		}
+	}
+	sync(0) // nothing written yet
+	for i := 0; i < 5; i++ {
+		if err := w.Append([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.syncs != 0 {
+		t.Fatalf("Append synced (%d syncs)", w.syncs)
+	}
+	sync(1)
+	sync(1) // clean: no second fsync
+	w.Append([]byte("tail"))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.syncs != 2 {
+		t.Fatalf("Close left the tail unsynced: %d syncs", w.syncs)
+	}
+
+	nosync, err := OpenWAL(filepath.Join(t.TempDir(), "wal.log"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 500; i++ {
-		rs.Put([]byte("k"), Row{Seq: 1, Count: 1, Base: 1, Vals: vals(colog.IntVal(int64(i)))})
+	defer nosync.Close()
+	nosync.Append([]byte("x"))
+	if err := nosync.Sync(); err != nil || nosync.syncs != 0 {
+		t.Fatalf("fsync-off Sync: err=%v syncs=%d", err, nosync.syncs)
 	}
-	if err := d.Compact(); err != nil {
+}
+
+// TestWALSyncReportsStickyWriteError: a failed append makes every later
+// Sync fail, so a commit point cannot publish past a lost record.
+func TestWALSyncReportsStickyWriteError(t *testing.T) {
+	w, err := OpenWAL(filepath.Join(t.TempDir(), "wal.log"), false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := rs.Get([]byte("k"))
-	if !ok || r.Vals[0].I != 499 {
-		t.Fatalf("after compaction: %+v ok=%v", r, ok)
+	w.f.Close() // the next write fails
+	if err := w.Append([]byte("lost")); err == nil {
+		t.Fatal("append to a closed file succeeded")
+	}
+	if err := w.Sync(); err == nil {
+		t.Fatal("Sync after a failed append returned nil")
 	}
 }

@@ -40,24 +40,36 @@ var walMagic = [walHeaderSize]byte{'C', 'L', 'G', 'W', 'A', 'L', 0, walVersion}
 // WAL is an append-only write-ahead delta log. It is safe for concurrent
 // use; the engine appends under the node lock but stats readers and the
 // torture harness poke at it from outside.
+//
+// Appends are plain writes; durability comes from Sync, which the engine
+// calls at its commit points (before a decision or a message leaves the
+// node), so a serving tick's records share one fsync — LogBase's group
+// commit with the tick as the group.
 type WAL struct {
-	mu    sync.Mutex
-	path  string
-	f     *os.File
-	size  int64 // tracked end offset of the valid prefix
-	fsync bool
-	err   error // sticky I/O error; appends fail fast once set
+	mu       sync.Mutex
+	path     string
+	f        *os.File
+	size     int64 // tracked end offset of the valid prefix
+	fsync    bool
+	unsynced bool   // records written since the last Sync
+	frame    []byte // reused frame buffer
+	err      error  // sticky I/O error; appends and syncs fail fast once set
 
 	// Cumulative counters, monotone across Reset (compaction) so the
 	// cluster's per-epoch log deltas never go negative.
 	records int64
 	bytes   int64
+	syncs   int64 // fsyncs issued by Sync and Close
 }
+
+// maxRetainedFrame bounds the frame buffer kept between appends, so one
+// large resync record does not pin its size for the log's lifetime.
+const maxRetainedFrame = 64 << 10
 
 // OpenWAL opens (creating if needed) the log at path. A fresh or
 // header-torn file gets a clean header; an existing log is scanned and any
 // torn tail is truncated away, so the writer always resumes at a record
-// boundary.
+// boundary. With fsync set, Sync, Reset and Close fsync the file.
 func OpenWAL(path string, fsync bool) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -71,8 +83,9 @@ func OpenWAL(path string, fsync bool) (*WAL, error) {
 	return w, nil
 }
 
-// Append writes one record and optionally syncs. The payload is copied
-// into the frame before writing; the caller keeps ownership.
+// Append writes one record at the tracked end offset. It does not sync:
+// the record is durable once a later Sync (or Close) returns. The payload
+// is copied into the frame before writing; the caller keeps ownership.
 func (w *WAL) Append(payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -82,23 +95,46 @@ func (w *WAL) Append(payload []byte) error {
 	if len(payload) > maxWALRecord {
 		return fmt.Errorf("store: WAL record of %d bytes exceeds cap", len(payload))
 	}
-	frame := make([]byte, recHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[recHeaderSize:], payload)
+	frame := binary.LittleEndian.AppendUint32(w.frame[:0], uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	frame = append(frame, payload...)
+	if cap(frame) <= maxRetainedFrame {
+		w.frame = frame
+	}
 	if _, err := w.f.WriteAt(frame, w.size); err != nil {
 		w.err = err
 		return err
 	}
-	if w.fsync {
-		if err := w.f.Sync(); err != nil {
-			w.err = err
-			return err
-		}
-	}
+	w.unsynced = true
 	w.size += int64(len(frame))
 	w.records++
 	w.bytes += int64(len(frame))
+	return nil
+}
+
+// Sync makes every appended record durable: it fsyncs if records were
+// written since the last sync and the log was opened with fsync. It
+// reports the sticky error of any earlier failed write or sync, so a
+// caller that syncs before publishing learns of every lost record.
+func (w *WAL) Sync() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.syncLocked()
+}
+
+func (w *WAL) syncLocked() error {
+	if w.err != nil {
+		return w.err
+	}
+	if !w.unsynced || !w.fsync {
+		return nil
+	}
+	if err := w.f.Sync(); err != nil {
+		w.err = err
+		return err
+	}
+	w.unsynced = false
+	w.syncs++
 	return nil
 }
 
@@ -144,7 +180,9 @@ func (w *WAL) ReadRecords() ([][]byte, error) {
 // the compaction primitive: the engine passes a single checkpoint record
 // and the replayable prefix before it is gone. Implemented as write to a
 // temp file + rename so a crash mid-compaction leaves either the old log
-// or the new one, never a hybrid. The cumulative counters keep counting.
+// or the new one, never a hybrid. The new log is synced before the rename
+// (with fsync), which supersedes any unsynced tail of the old one. The
+// cumulative counters keep counting.
 func (w *WAL) Reset(payloads ...[]byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -181,6 +219,7 @@ func (w *WAL) Reset(payloads ...[]byte) error {
 	}
 	old.Close()
 	w.f = nf
+	w.unsynced = false
 	w.size = int64(len(data))
 	w.records += int64(len(payloads))
 	w.bytes += int64(len(data) - walHeaderSize)
@@ -198,13 +237,15 @@ func (w *WAL) Stats() (records, bytes int64) {
 // Path returns the log file's path.
 func (w *WAL) Path() string { return w.path }
 
-// Close releases the file handle and reports any sticky append error.
+// Close syncs any unsynced tail, releases the file handle, and reports the
+// first sticky write or sync error.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	serr := w.syncLocked()
 	cerr := w.f.Close()
-	if w.err != nil {
-		return w.err
+	if serr != nil {
+		return serr
 	}
 	return cerr
 }
