@@ -104,11 +104,13 @@ streaming-equivalence:
 serving-soak:
 	$(GO) test -race -count=1 -run 'TestServingSoakEquivalence' ./internal/serve
 
-# The allocation-regression gate: streaming grounding's B/op on the
+# The allocation-regression gates: streaming grounding's B/op on the
 # join-heavy BenchmarkGroundPeakAlloc workload must stay under the budget in
-# ground_alloc_budget.txt. Run without -race (the test skips itself under it).
+# ground_alloc_budget.txt, and spawning the 40-center Follow-the-Sun ring
+# (BenchmarkSpawnRing) under spawn_alloc_budget.txt. Run without -race (the
+# tests skip themselves under it).
 alloc-budget:
-	$(GO) test -count=1 -run 'TestGroundAllocBudget' .
+	$(GO) test -count=1 -run 'TestGroundAllocBudget|TestSpawnAllocBudget' .
 
 # The shard-equivalence gate: partitioning any scenario into key-range
 # shards with rollup aggregation must keep results byte-identical to the
@@ -139,8 +141,9 @@ ci: lint build test docs-check bench-smoke-repo
 	$(GO) test -count=1 -run 'TestEnginesMatchBruteForce|TestEventEngineTraceMatchesLegacy' ./internal/solver
 	$(GO) test -count=1 -run 'TestIncrementalGroundEquivalence' ./internal/core
 	$(GO) test -count=1 -run 'TestStreamingGroundEquivalence' ./internal/core
-	$(GO) test -count=1 -run 'TestGroundAllocBudget' .
+	$(GO) test -count=1 -run 'TestGroundAllocBudget|TestSpawnAllocBudget' .
 	$(GO) test -count=1 -run 'TestClusterEquivalence' ./internal/acloud ./internal/followsun ./internal/wireless
+	$(GO) test -race -count=1 -run TestClusterEquivalence ./internal/followsun ./internal/wireless
 	$(GO) test -race -run TestCluster ./internal/cluster/...
 	$(GO) test -count=1 -run 'TestRecovery' ./internal/cluster ./internal/acloud ./internal/followsun ./internal/wireless
 	$(GO) test -count=1 -run 'TestWALTorture' ./internal/cluster ./internal/store

@@ -8,13 +8,14 @@ import (
 	"testing"
 )
 
-// readAllocBudget parses ground_alloc_budget.txt: comment lines start with
-// '#', the first remaining line is the B/op ceiling.
-func readAllocBudget(t *testing.T) int64 {
+// readAllocBudget parses a budget file such as ground_alloc_budget.txt:
+// comment lines start with '#', the first remaining line is the B/op
+// ceiling.
+func readAllocBudget(t *testing.T, path string) int64 {
 	t.Helper()
-	f, err := os.Open("ground_alloc_budget.txt")
+	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("alloc budget file: %v", err)
+		t.Fatalf("alloc budget file %s: %v", path, err)
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
@@ -25,11 +26,11 @@ func readAllocBudget(t *testing.T) int64 {
 		}
 		n, err := strconv.ParseInt(line, 10, 64)
 		if err != nil {
-			t.Fatalf("alloc budget file: bad line %q: %v", line, err)
+			t.Fatalf("alloc budget file %s: bad line %q: %v", path, line, err)
 		}
 		return n
 	}
-	t.Fatal("alloc budget file: no budget line")
+	t.Fatalf("alloc budget file %s: no budget line", path)
 	return 0
 }
 
@@ -46,11 +47,34 @@ func TestGroundAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed gate")
 	}
-	budget := readAllocBudget(t)
+	budget := readAllocBudget(t, "ground_alloc_budget.txt")
 	res := testing.Benchmark(groundPeakAllocBench("streaming"))
 	if got := res.AllocedBytesPerOp(); got > budget {
 		t.Fatalf("streaming grounding allocates %d B/op, budget is %d B/op (ground_alloc_budget.txt)", got, budget)
 	} else {
 		t.Logf("streaming grounding: %d B/op within budget %d B/op", got, budget)
+	}
+}
+
+// TestSpawnAllocBudget is the allocation-regression gate for node
+// construction: it benchmarks BenchmarkSpawnRing in-process — 40
+// Follow-the-Sun centers spawned from one analysis result — and fails if
+// B/op exceeds the ceiling committed in spawn_alloc_budget.txt. A failure
+// means per-node work crept back into spawning (a per-node compile, plan
+// copy, or eagerly built per-plan state); either remove it or consciously
+// raise the budget in the same commit.
+func TestSpawnAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation sizes")
+	}
+	if testing.Short() {
+		t.Skip("benchmark-backed gate")
+	}
+	budget := readAllocBudget(t, "spawn_alloc_budget.txt")
+	res := testing.Benchmark(spawnRingBench)
+	if got := res.AllocedBytesPerOp(); got > budget {
+		t.Fatalf("spawning the 40-center ring allocates %d B/op, budget is %d B/op (spawn_alloc_budget.txt)", got, budget)
+	} else {
+		t.Logf("spawning the 40-center ring: %d B/op within budget %d B/op", got, budget)
 	}
 }

@@ -662,6 +662,39 @@ d2 cost(SUM<X>) <- siteCost(S,X).
 	}
 }
 
+// BenchmarkSpawnRing measures building the 40 centers of a
+// followsun.RingParams(40) negotiation from one analysis result: a cluster
+// runtime spawning every node (tables, transport registration, and the
+// program compile the runtime shares between them), without facts.
+func BenchmarkSpawnRing(b *testing.B) { spawnRingBench(b) }
+
+// spawnRingBench is BenchmarkSpawnRing, shared with the TestSpawnAllocBudget
+// regression gate.
+func spawnRingBench(b *testing.B) {
+	const dcs = 40
+	p := followsun.RingParams(dcs)
+	maxMig := p.MaxMigrates
+	if maxMig <= 0 {
+		maxMig = 1 << 30
+	}
+	entry := programs.FollowSunDistributed(maxMig)
+	ares := entry.Analyze()
+	specs := make([]cluster.NodeSpec, dcs)
+	for i := range specs {
+		specs[i] = cluster.NodeSpec{Addr: fmt.Sprintf("dc%d", i), Program: ares, Config: entry.Config}
+	}
+	o := cluster.Options{Workers: 2, Latency: p.LinkLatency, Shards: followsun.RingShardPlan(dcs, 2)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt := cluster.New(o)
+		if err := rt.SpawnAll(specs); err != nil {
+			b.Fatal(err)
+		}
+		rt.Close()
+	}
+}
+
 func mustNode(b *testing.B, src string) *core.Node {
 	b.Helper()
 	prog, err := colog.Parse(src)

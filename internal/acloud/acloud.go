@@ -395,10 +395,14 @@ func (c *cluster) seedDC(n *core.Node) error {
 // ACloud Colog program.
 func (c *cluster) buildNodes(pol Policy) ([]*core.Node, error) {
 	entry := programs.ACloud(pol == ACloudM, c.p.MaxMigrates)
-	res := entry.Analyze()
+	cfg := c.nodeConfig(entry)
+	prog, err := core.Compile(entry.Analyze(), cfg.Keys, cfg.Events)
+	if err != nil {
+		return nil, err
+	}
 	nodes := make([]*core.Node, c.p.DCs)
 	for dc := 0; dc < c.p.DCs; dc++ {
-		n, err := core.NewNode(fmt.Sprintf("dc%d", dc), res, c.nodeConfig(entry), nil)
+		n, err := prog.NewNode(fmt.Sprintf("dc%d", dc), cfg, nil)
 		if err != nil {
 			return nil, err
 		}

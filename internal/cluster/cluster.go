@@ -202,6 +202,11 @@ type Runtime struct {
 	// (ownStoreDir) that Close removes.
 	storeDir    string
 	ownStoreDir bool
+
+	// programs memoizes the compiled program per analysis result, so every
+	// node spawned or rebuilt from one result shares one core.Program; it
+	// lives exactly as long as the runtime.
+	programs map[*analysis.Result]*core.Program
 }
 
 // newRuntime allocates the transport-independent runtime state shared by
@@ -216,6 +221,7 @@ func newRuntime(o Options) *Runtime {
 		lastResync:  map[string]core.ResyncStats{},
 		lastLog:     map[string][2]int64{},
 		lastAggWire: map[string]transport.Stats{},
+		programs:    map[*analysis.Result]*core.Program{},
 	}
 }
 
@@ -279,7 +285,11 @@ func (r *Runtime) Spawn(spec NodeSpec) (*core.Node, error) {
 	if err := r.attachStorage(&spec); err != nil {
 		return nil, fmt.Errorf("cluster: storage for %s: %w", spec.Addr, err)
 	}
-	n, err := core.NewNode(spec.Addr, spec.Program, spec.Config, r.nodeTransport())
+	prog, err := r.program(spec)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: spawning %s: %w", spec.Addr, err)
+	}
+	n, err := prog.NewNode(spec.Addr, spec.Config, r.nodeTransport())
 	if err != nil {
 		return nil, fmt.Errorf("cluster: spawning %s: %w", spec.Addr, err)
 	}
@@ -291,6 +301,21 @@ func (r *Runtime) Spawn(spec NodeSpec) (*core.Node, error) {
 	r.members[spec.Addr] = &member{spec: spec, node: n, shard: shard}
 	r.order = append(r.order, spec.Addr)
 	return n, nil
+}
+
+// program returns the compiled program for spec, compiling it on first
+// use. A spec whose Keys or Events differ from the memoized program's gets
+// a program of its own, which replaces the memo entry.
+func (r *Runtime) program(spec NodeSpec) (*core.Program, error) {
+	if p := r.programs[spec.Program]; p != nil && p.Accepts(spec.Config) {
+		return p, nil
+	}
+	p, err := core.Compile(spec.Program, spec.Config.Keys, spec.Config.Events)
+	if err != nil {
+		return nil, err
+	}
+	r.programs[spec.Program] = p
+	return p, nil
 }
 
 // SpawnAll builds and registers every node first, then runs the Seed hooks

@@ -127,13 +127,17 @@ func (r *Runtime) restoreOrReseed(m *member) (*core.Node, error) {
 	if r.opts.BatchDeltas {
 		spec.Config.BatchDeltas = true
 	}
+	prog, err := r.program(spec)
+	if err != nil {
+		return nil, err
+	}
 	if st := spec.Config.Storage; st != nil && st.Log() != nil {
-		return core.ReplayNode(spec.Addr, spec.Program, spec.Config, r.nodeTransport())
+		return prog.ReplayNode(spec.Addr, spec.Config, r.nodeTransport())
 	}
 	if m.checkpoint != nil {
-		return core.RestoreNode(spec.Addr, spec.Program, spec.Config, r.nodeTransport(), m.checkpoint)
+		return prog.RestoreNode(spec.Addr, spec.Config, r.nodeTransport(), m.checkpoint)
 	}
-	n, err := core.NewNode(spec.Addr, spec.Program, spec.Config, r.nodeTransport())
+	n, err := prog.NewNode(spec.Addr, spec.Config, r.nodeTransport())
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/analysis"
 	"repro/internal/colog"
 )
@@ -35,11 +37,9 @@ type planStep struct {
 	argOps   []argOp
 	probeOps []probeOp
 	preCmps  []rowCmp
-	// idxKey names the probed column set; cachedIdx/cachedGen memoize the
-	// table index pointer across executions until the table drops indexes.
-	idxKey    string
-	cachedIdx *tableIndex
-	cachedGen uint64
+	// idxKey names the probed column set. The index pointer itself is
+	// memoized per node (planRun), since every node has its own tables.
+	idxKey string
 	// slot is the frame slot written by stepBind / stepAssign; rebind marks
 	// an assignment whose target is already bound at this point in the plan
 	// (executed by saving and restoring the previous value, since the undo
@@ -58,8 +58,11 @@ type headOp struct {
 // plan is a compiled delta rule: when a tuple of the trigger predicate
 // changes, the remaining steps run in order, producing head tuples. This is
 // the dataflow of pipelined semi-naive evaluation — one plan per (rule, body
-// atom) pair.
+// atom) pair. Plans belong to a Program and are shared read-only by every
+// node built from it; a node's mutable state for a plan (binding frame,
+// index memo) lives in its planRun, found by id.
 type plan struct {
+	id       int // dense index into Node.runs
 	rule     *colog.Rule
 	ruleIdx  int
 	trigger  *colog.Atom
@@ -67,16 +70,14 @@ type plan struct {
 	headAggs []int // head argument positions that are aggregates (empty for plain heads)
 	slots    *ruleSlots
 	headOps  []headOp // plain heads only
-	// frame is the plan's scratch binding frame. Delta evaluation under the
-	// node lock is single-threaded and never re-enters the same plan, so
-	// one frame per plan eliminates all per-row environment allocations.
-	frame *bindFrame
 }
 
 // compileRules builds the delta plans for all regular rules of the analyzed
-// program, indexed by trigger predicate.
-func compileRules(res *analysis.Result) (map[string][]*plan, error) {
+// program over the given per-rule slot layouts, indexed by trigger
+// predicate, and returns the number of plans built.
+func compileRules(res *analysis.Result, slots []*ruleSlots) (map[string][]*plan, int, error) {
 	plans := map[string][]*plan{}
+	nplans := 0
 	for ri, r := range res.Program.Rules {
 		if res.Classes[ri] != analysis.RegularRule {
 			continue // solver rules are executed by the grounder
@@ -88,17 +89,19 @@ func compileRules(res *analysis.Result) (map[string][]*plan, error) {
 			}
 		}
 		if len(atoms) == 0 {
-			return nil, everrf(ruleName(r), "rule has no body atoms")
+			return nil, 0, everrf(ruleName(r), "rule has no body atoms")
 		}
 		for ti := range atoms {
-			p, err := compilePlan(r, ri, atoms, ti)
+			p, err := compilePlan(r, ri, slots[ri], atoms, ti)
 			if err != nil {
-				return nil, err
+				return nil, 0, everrf(ruleName(r), "%v", err)
 			}
+			p.id = nplans
+			nplans++
 			plans[p.trigger.Pred] = append(plans[p.trigger.Pred], p)
 		}
 	}
-	return plans, nil
+	return plans, nplans, nil
 }
 
 // compilePlan orders the rule body for one trigger position: the trigger
@@ -106,18 +109,26 @@ func compileRules(res *analysis.Result) (map[string][]*plan, error) {
 // joins preferring atoms sharing bound variables, conditions and
 // assignments as soon as their inputs are bound, definitional equalities
 // when exactly one side is a single unbound variable.
-func compilePlan(r *colog.Rule, ruleIdx int, atoms []*colog.Atom, triggerIdx int) (*plan, error) {
-	p := &plan{rule: r, ruleIdx: ruleIdx, trigger: atoms[triggerIdx], slots: collectRuleSlots(r)}
-	bound := map[string]bool{}
-	bindAtomVars := func(a *colog.Atom) {
+func compilePlan(r *colog.Rule, ruleIdx int, slots *ruleSlots, atoms []*colog.Atom, triggerIdx int) (*plan, error) {
+	p := &plan{rule: r, ruleIdx: ruleIdx, trigger: atoms[triggerIdx], slots: slots}
+	bound := newVarSet(slots)
+	bindAtomVars := func(a *colog.Atom) error {
 		for _, v := range atomVarNames(a) {
-			bound[v] = true
+			if err := bound.add(v); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
 	trigger := planStep{kind: stepJoin, atom: atoms[triggerIdx], isTrigger: true}
-	trigger.argOps = compileArgOps(atoms[triggerIdx], p.slots, bound)
+	var err error
+	if trigger.argOps, err = compileArgOps(atoms[triggerIdx], bound); err != nil {
+		return nil, err
+	}
 	p.steps = append(p.steps, trigger)
-	bindAtomVars(atoms[triggerIdx])
+	if err := bindAtomVars(atoms[triggerIdx]); err != nil {
+		return nil, err
+	}
 
 	type pending struct {
 		lit  colog.Literal
@@ -138,7 +149,7 @@ func compilePlan(r *colog.Rule, ruleIdx int, atoms []*colog.Atom, triggerIdx int
 	countBound := func(a *colog.Atom) int {
 		n := 0
 		for _, v := range atomVarNames(a) {
-			if bound[v] {
+			if bound.has(v) {
 				n++
 			}
 		}
@@ -159,7 +170,7 @@ func compilePlan(r *colog.Rule, ruleIdx int, atoms []*colog.Atom, triggerIdx int
 				}
 			case *colog.AssignLit:
 				if condBound(x.Expr, bound) {
-					picked, step = i, planStep{kind: stepAssign, bindVar: x.Var, expr: x.Expr, rebind: bound[x.Var]}
+					picked, step = i, planStep{kind: stepAssign, bindVar: x.Var, expr: x.Expr, rebind: bound.has(x.Var)}
 				}
 			}
 			if picked >= 0 {
@@ -181,21 +192,27 @@ func compilePlan(r *colog.Rule, ruleIdx int, atoms []*colog.Atom, triggerIdx int
 			}
 		}
 		if picked < 0 {
-			return nil, everrf(ruleName(r), "cannot order body literals; unbound expression %s", todo[0].lit)
-		}
-		if step.kind == stepJoin {
-			step.boundCols = joinBoundCols(step.atom, bound)
-			step.probeOps = compileProbeOps(step.atom, step.boundCols, p.slots)
-			step.idxKey = idxName(step.boundCols)
-			step.argOps = compileArgOps(step.atom, p.slots, bound)
-			step.preCmps = compilePushdown(step.argOps, nil)
+			return nil, fmt.Errorf("cannot order body literals; unbound expression %s", todo[0].lit)
 		}
 		switch step.kind {
 		case stepJoin:
-			bindAtomVars(step.atom)
+			step.boundCols = joinBoundCols(step.atom, bound)
+			if step.probeOps, err = compileProbeOps(step.atom, step.boundCols, slots); err != nil {
+				return nil, err
+			}
+			step.idxKey = idxName(step.boundCols)
+			if step.argOps, err = compileArgOps(step.atom, bound); err != nil {
+				return nil, err
+			}
+			step.preCmps = compilePushdown(step.argOps, nil)
+			if err := bindAtomVars(step.atom); err != nil {
+				return nil, err
+			}
 		case stepBind, stepAssign:
-			step.slot = p.slots.slotOf(step.bindVar)
-			bound[step.bindVar] = true
+			if step.slot, err = slots.slot(step.bindVar); err != nil {
+				return nil, err
+			}
+			bound.in[step.slot] = true
 		}
 		p.steps = append(p.steps, step)
 		todo = append(todo[:picked], todo[picked+1:]...)
@@ -207,12 +224,12 @@ func compilePlan(r *colog.Rule, ruleIdx int, atoms []*colog.Atom, triggerIdx int
 		switch t := arg.(type) {
 		case *colog.AggTerm:
 			p.headAggs = append(p.headAggs, i)
-			if !bound[t.Over] {
-				return nil, everrf(ruleName(r), "aggregate variable %s unbound", t.Over)
+			if !bound.has(t.Over) {
+				return nil, fmt.Errorf("aggregate variable %s unbound", t.Over)
 			}
 		case *colog.VarTerm:
-			if !bound[t.Name] {
-				return nil, everrf(ruleName(r), "head variable %s unbound", t.Name)
+			if !bound.has(t.Name) {
+				return nil, fmt.Errorf("head variable %s unbound", t.Name)
 			}
 		}
 	}
@@ -220,49 +237,51 @@ func compilePlan(r *colog.Rule, ruleIdx int, atoms []*colog.Atom, triggerIdx int
 		p.headOps = make([]headOp, len(r.Head.Args))
 		for i, arg := range r.Head.Args {
 			if v, ok := arg.(*colog.VarTerm); ok {
-				p.headOps[i] = headOp{slot: p.slots.slotOf(v.Name)}
+				slot, err := slots.slot(v.Name)
+				if err != nil {
+					return nil, err
+				}
+				p.headOps[i] = headOp{slot: slot}
 			} else {
 				p.headOps[i] = headOp{slot: -1, term: arg}
 			}
 		}
 	}
-	p.frame = newBindFrame(p.slots)
 	return p, nil
 }
 
 // bindableEq recognizes a definitional equality: one side a single unbound
 // variable, the other fully bound.
-func bindableEq(t colog.Term, bound map[string]bool) (string, colog.Term, bool) {
+func bindableEq(t colog.Term, bound varSet) (string, colog.Term, bool) {
 	bt, ok := t.(*colog.BinTerm)
 	if !ok || bt.Op != colog.OpEq {
 		return "", nil, false
 	}
-	if v, ok := bt.L.(*colog.VarTerm); ok && !bound[v.Name] && condBoundWith(bt.R, bound) {
+	if v, ok := bt.L.(*colog.VarTerm); ok && !bound.has(v.Name) && condBound(bt.R, bound) {
 		return v.Name, bt.R, true
 	}
-	if v, ok := bt.R.(*colog.VarTerm); ok && !bound[v.Name] && condBoundWith(bt.L, bound) {
+	if v, ok := bt.R.(*colog.VarTerm); ok && !bound.has(v.Name) && condBound(bt.L, bound) {
 		return v.Name, bt.L, true
 	}
 	return "", nil, false
 }
 
-func condBound(t colog.Term, bound map[string]bool) bool { return condBoundWith(t, bound) }
-
-func condBoundWith(t colog.Term, bound map[string]bool) bool {
+// condBound reports whether every variable of the term is bound.
+func condBound(t colog.Term, bound varSet) bool {
 	switch x := t.(type) {
 	case *colog.VarTerm:
-		return bound[x.Name]
+		return bound.has(x.Name)
 	case *colog.BinTerm:
-		return condBoundWith(x.L, bound) && condBoundWith(x.R, bound)
+		return condBound(x.L, bound) && condBound(x.R, bound)
 	case *colog.NegTerm:
-		return condBoundWith(x.X, bound)
+		return condBound(x.X, bound)
 	case *colog.NotTerm:
-		return condBoundWith(x.X, bound)
+		return condBound(x.X, bound)
 	case *colog.AbsTerm:
-		return condBoundWith(x.X, bound)
+		return condBound(x.X, bound)
 	case *colog.FuncTerm:
 		for _, a := range x.Args {
-			if !condBoundWith(a, bound) {
+			if !condBound(a, bound) {
 				return false
 			}
 		}
@@ -273,24 +292,48 @@ func condBoundWith(t colog.Term, bound map[string]bool) bool {
 }
 
 // joinBoundCols lists the argument positions of a join atom whose value is
-// known before the join executes: constants, and variables bound earlier in
-// the plan. Repeated variables within the atom count only on first
-// occurrence (later occurrences are equality-checked by matchAtom).
-func joinBoundCols(a *colog.Atom, bound map[string]bool) []int {
+// known before the join executes (see boundCol).
+func joinBoundCols(a *colog.Atom, bound varSet) []int {
 	var cols []int
-	seen := map[string]bool{}
-	for i, arg := range a.Args {
-		switch t := arg.(type) {
-		case *colog.ConstTerm:
+	for i := range a.Args {
+		if boundCol(a, i, bound) {
 			cols = append(cols, i)
-		case *colog.VarTerm:
-			if bound[t.Name] && !seen[t.Name] {
-				cols = append(cols, i)
-			}
-			seen[t.Name] = true
 		}
 	}
 	return cols
+}
+
+// countBoundCols is len(joinBoundCols(a, bound)) without building the list.
+func countBoundCols(a *colog.Atom, bound varSet) int {
+	n := 0
+	for i := range a.Args {
+		if boundCol(a, i, bound) {
+			n++
+		}
+	}
+	return n
+}
+
+// boundCol reports whether argument i of a join atom is known before the
+// join executes: a constant, or a variable bound earlier in the plan. A
+// variable repeated within the atom counts only on first occurrence (later
+// occurrences are equality-checked by matchAtom).
+func boundCol(a *colog.Atom, i int, bound varSet) bool {
+	switch t := a.Args[i].(type) {
+	case *colog.ConstTerm:
+		return true
+	case *colog.VarTerm:
+		if !bound.has(t.Name) {
+			return false
+		}
+		for _, prev := range a.Args[:i] {
+			if v, ok := prev.(*colog.VarTerm); ok && v.Name == t.Name {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 func atomVarNames(a *colog.Atom) []string {

@@ -36,14 +36,15 @@ type recursiveGroup struct {
 // state updates that can never be re-derived (the event is gone), so they
 // are not recursion in the view-maintenance sense — Follow-the-Sun's r3
 // (curVm <- curVm, migVm-event) is the canonical example.
-func (n *Node) buildRecursiveGroups(res *analysis.Result) []*recursiveGroup {
+func (p *Program) buildRecursiveGroups() []*recursiveGroup {
+	res := p.res
 	// Dependency edges: body pred -> head pred.
 	adj := map[string][]string{}
 	radj := map[string][]string{}
 	selfLoop := map[string]bool{}
 	nodes := map[string]bool{}
 	for i, r := range res.Program.Rules {
-		if res.Classes[i] != analysis.RegularRule || n.ruleJoinsEvent(r) {
+		if res.Classes[i] != analysis.RegularRule || p.ruleJoinsEvent(r) {
 			continue
 		}
 		head := r.Head.Pred
@@ -110,7 +111,7 @@ func (n *Node) buildRecursiveGroups(res *analysis.Result) []*recursiveGroup {
 			g.preds[p] = true
 		}
 		for i, r := range res.Program.Rules {
-			if res.Classes[i] != analysis.RegularRule || !g.preds[r.Head.Pred] || n.ruleJoinsEvent(r) {
+			if res.Classes[i] != analysis.RegularRule || !g.preds[r.Head.Pred] || p.ruleJoinsEvent(r) {
 				continue
 			}
 			g.rules = append(g.rules, i)
@@ -141,32 +142,20 @@ func ruleSingleSite(r *colog.Rule) bool {
 	return len(locs) <= 1
 }
 
-// ruleJoinsEvent reports whether any body atom of r is an event table.
-func (n *Node) ruleJoinsEvent(r *colog.Rule) bool {
-	for _, l := range r.Body {
-		if al, ok := l.(*colog.AtomLit); ok {
-			if t := n.tables[al.Atom.Pred]; t != nil && t.event {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// initDred wires the recursive-group metadata into the node.
-func (n *Node) initDred() {
-	n.groups = n.buildRecursiveGroups(n.res)
-	n.groupOfHead = map[int]int{}
-	n.feedsGroup = map[string][]int{}
-	for gi, g := range n.groups {
+// initDred derives the recursive-group metadata of the program.
+func (p *Program) initDred() {
+	p.groups = p.buildRecursiveGroups()
+	p.groupOfHead = map[int]int{}
+	p.feedsGroup = map[string][]int{}
+	for gi, g := range p.groups {
 		if !g.local {
 			continue // counting fallback
 		}
 		for _, ri := range g.rules {
-			n.groupOfHead[ri] = gi
-			for _, l := range n.res.Program.Rules[ri].Body {
+			p.groupOfHead[ri] = gi
+			for _, l := range p.res.Program.Rules[ri].Body {
 				if al, ok := l.(*colog.AtomLit); ok {
-					n.feedsGroup[al.Atom.Pred] = append(n.feedsGroup[al.Atom.Pred], gi)
+					p.feedsGroup[al.Atom.Pred] = append(p.feedsGroup[al.Atom.Pred], gi)
 				}
 			}
 		}
@@ -175,7 +164,7 @@ func (n *Node) initDred() {
 
 // markDirtyFor flags the groups affected by a deletion of pred.
 func (n *Node) markDirtyFor(pred string) bool {
-	gids := n.feedsGroup[pred]
+	gids := n.prog.feedsGroup[pred]
 	for _, gi := range gids {
 		n.dirtyGroups[gi] = true
 	}
@@ -187,7 +176,7 @@ func (n *Node) markDirtyFor(pred string) bool {
 // evaluation over the group's rules, then installs the result and
 // propagates the visible difference downstream.
 func (n *Node) recomputeGroup(gi int) error {
-	g := n.groups[gi]
+	g := n.prog.groups[gi]
 	// Working state: base rows only.
 	work := map[string]map[string][]colog.Value{} // pred -> key -> vals
 	for p := range g.preds {
@@ -219,8 +208,8 @@ func (n *Node) recomputeGroup(gi int) error {
 	for changed := true; changed; {
 		changed = false
 		for _, ri := range g.rules {
-			rule := n.res.Program.Rules[ri]
-			derived, err := n.evalRuleGround(rule, rowsOf)
+			rule := n.prog.res.Program.Rules[ri]
+			derived, err := n.evalRuleGround(ri, rowsOf)
 			if err != nil {
 				return err
 			}
@@ -296,7 +285,9 @@ func (n *Node) recomputeGroup(gi int) error {
 // the provided row source, returning the head tuples (used by the
 // recompute fixpoint; no aggregates — analysis rejects recursion through
 // aggregates).
-func (n *Node) evalRuleGround(rule *colog.Rule, rowsOf func(string) [][]colog.Value) ([][]colog.Value, error) {
+func (n *Node) evalRuleGround(ri int, rowsOf func(string) [][]colog.Value) ([][]colog.Value, error) {
+	rule := n.prog.res.Program.Rules[ri]
+	slots := n.prog.slots[ri]
 	var out [][]colog.Value
 	label := ruleName(rule)
 	type item struct {
@@ -329,7 +320,7 @@ func (n *Node) evalRuleGround(rule *colog.Rule, rowsOf func(string) [][]colog.Va
 			}
 			switch x := lits[i].lit.(type) {
 			case *colog.CondLit:
-				if _, _, ok := bindableEq(x.Expr, boundSet(env)); ok || termBound(x.Expr, mapEnv(env)) {
+				if _, _, ok := bindableEq(x.Expr, envVars(slots, env)); ok || termBound(x.Expr, mapEnv(env)) {
 					pick = i
 				}
 			case *colog.AssignLit:
@@ -368,7 +359,7 @@ func (n *Node) evalRuleGround(rule *colog.Rule, rowsOf func(string) [][]colog.Va
 			}
 			return nil
 		case *colog.CondLit:
-			if name, expr, ok := bindableEq(x.Expr, boundSet(env)); ok {
+			if name, expr, ok := bindableEq(x.Expr, envVars(slots, env)); ok {
 				v, err := evalGround(expr, mapEnv(env))
 				if err != nil {
 					return everrf(label, "%v", err)
@@ -405,10 +396,13 @@ func (n *Node) evalRuleGround(rule *colog.Rule, rowsOf func(string) [][]colog.Va
 	return out, nil
 }
 
-func boundSet(env map[string]colog.Value) map[string]bool {
-	out := make(map[string]bool, len(env))
-	for k := range env {
-		out[k] = true
+// envVars is the set of variables a map environment binds.
+func envVars(slots *ruleSlots, env map[string]colog.Value) varSet {
+	vs := newVarSet(slots)
+	for name := range env {
+		if i, ok := slots.lookup(name); ok {
+			vs.in[i] = true
+		}
 	}
-	return out
+	return vs
 }

@@ -90,8 +90,8 @@ func TestEventJoinedRuleNotTreatedAsRecursive(t *testing.T) {
 	n := newTestNode(t, `
 r1 state(K,R) <- state(K,R1), bump(K,D), R:=R1+D.
 `, Config{Keys: map[string][]int{"state": {0}}, Events: []string{"bump"}})
-	if len(n.groups) != 0 {
-		t.Fatalf("event-joined self-update treated as recursive group: %v", n.groups)
+	if len(n.prog.groups) != 0 {
+		t.Fatalf("event-joined self-update treated as recursive group: %v", n.prog.groups)
 	}
 	n.Insert("state", sval("k"), ival(10))
 	n.Insert("bump", sval("k"), ival(5))
@@ -112,15 +112,15 @@ func TestDistributedRecursionFallsBackToCounting(t *testing.T) {
 r1 known(@X,D) <- origin(@X,D).
 r2 known(@Y,D) <- known(@X,D), link(@X,Y).
 `, Config{})
-	if len(n.groups) == 0 {
+	if len(n.prog.groups) == 0 {
 		t.Fatal("gossip recursion not detected as a group")
 	}
-	for _, g := range n.groups {
+	for _, g := range n.prog.groups {
 		if g.local {
 			t.Fatalf("cross-node recursive group registered as local: %+v", g)
 		}
 	}
-	if len(n.groupOfHead) != 0 {
+	if len(n.prog.groupOfHead) != 0 {
 		t.Fatal("distributed recursion wired into DRed")
 	}
 }
@@ -134,12 +134,12 @@ r1 path(@X,Y) <- edge(@X,Y).
 r2 path(@X,Z) <- path(@X,Y), edge2(@Y,X,Z).
 `, Config{})
 	found := false
-	for _, g := range n.groups {
+	for _, g := range n.prog.groups {
 		if g.preds["path"] && g.local {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("localized recursion not registered for recompute: %+v", n.groups)
+		t.Fatalf("localized recursion not registered for recompute: %+v", n.prog.groups)
 	}
 }

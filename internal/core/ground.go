@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/colog"
 	"repro/internal/solver"
 )
@@ -77,11 +76,10 @@ type grounder struct {
 	// Config.GroundMode before grounding starts).
 	stream bool
 
-	// Per-solve caches, written only between parallel phases: variable
-	// slottings, merged row sets and transient indexes over them
-	// (materialized mode), and unshadowed ground-row tails of solver
-	// predicates (streaming mode).
-	slotsCache      map[*colog.Rule]*ruleSlots
+	// Per-solve caches, written only between parallel phases: merged row
+	// sets and transient indexes over them (materialized mode), and
+	// unshadowed ground-row tails of solver predicates (streaming mode).
+	// Variable slot layouts are the Program's, shared by every solve.
 	rowsCache       map[string][]symTuple
 	idxCache        map[string]*symIndex
 	groundRowsCache map[string][][]colog.Value
@@ -91,19 +89,6 @@ type grounder struct {
 	// which constants it grounded from which cells (see incremental.go).
 	recording bool
 	cacheRuns map[int]*cachedRun
-}
-
-// slotsFor returns the rule's variable slotting, computed on first use.
-func (g *grounder) slotsFor(rule *colog.Rule) *ruleSlots {
-	if g.slotsCache == nil {
-		g.slotsCache = map[*colog.Rule]*ruleSlots{}
-	}
-	if s, ok := g.slotsCache[rule]; ok {
-		return s
-	}
-	s := collectRuleSlots(rule)
-	g.slotsCache[rule] = s
-	return s
 }
 
 // cachedRows returns the merged row set for a predicate, cached until the
@@ -450,7 +435,7 @@ func (n *Node) materialize(g *grounder, res *SolveResult) error {
 	sort.Slice(mats, func(i, j int) bool { return mats[i].pred < mats[j].pred })
 	// Goal tuple.
 	var goalTuple *Tuple
-	if goal := n.res.Program.Goal; goal != nil && goal.Sense != colog.GoalSatisfy && res.HasGoal {
+	if goal := n.prog.res.Program.Goal; goal != nil && goal.Sense != colog.GoalSatisfy && res.HasGoal {
 		vals := make([]colog.Value, len(goal.Atom.Args))
 		okAll := true
 		for i, arg := range goal.Atom.Args {
@@ -539,7 +524,7 @@ func (n *Node) applyMaterialization(mats []matTable, goalTuple *Tuple) error {
 // createVars instantiates decision variables per var declaration: one
 // variable for each row of the forall table (paper section 4.2).
 func (g *grounder) createVars() error {
-	for _, vd := range g.n.res.Program.Vars {
+	for _, vd := range g.n.prog.res.Program.Vars {
 		forallRows := g.n.tables[vd.ForAll.Pred]
 		if forallRows == nil {
 			return everrf("var", "forall table %s unknown", vd.ForAll.Pred)
@@ -613,15 +598,14 @@ func (g *grounder) domainFor(vd *colog.VarDecl) (solver.Domain, error) {
 // constraints are merged in rule order, making the outcome identical to a
 // serial run.
 func (g *grounder) deriveSolverRules() error {
-	rules := g.n.res.Program.Rules
-	levels := solverRuleLevels(rules, g.n.res.SolverOrder)
+	rules := g.n.prog.res.Program.Rules
 	workers := g.n.groundWorkers()
-	for _, level := range levels {
+	for _, level := range g.n.prog.levels {
 		// Plans are built serially: they populate the shared row and index
 		// caches the workers then read without synchronization.
 		plans := make([]*groundPlan, len(level))
 		for i, ri := range level {
-			p, err := g.planGroundBody(rules[ri], nil)
+			p, err := g.planGroundBody(ri, varSet{})
 			if err != nil {
 				return err
 			}
@@ -652,7 +636,7 @@ func (g *grounder) deriveSolverRules() error {
 			for _, e := range runs[i].reqs {
 				g.model.Require(e)
 			}
-			g.noteCacheRun(ri, rules[ri], runs[i])
+			g.noteCacheRun(ri, runs[i])
 		}
 	}
 	return nil
@@ -853,7 +837,7 @@ func (g *grounder) rowsFor(pred string) ([]symTuple, error) {
 		return sts, nil
 	}
 	// Merge in materialized rows not shadowed by a symbolic tuple.
-	ti := g.n.res.Tables[pred]
+	ti := g.n.prog.res.Tables[pred]
 	shadow := map[string]bool{}
 	for _, st := range sts {
 		if k, ok := symRegKey(ti, func(i int) (colog.Value, bool) {
@@ -1268,12 +1252,9 @@ func (g *grounder) buildAggExpr(fn colog.AggFunc, items []gval, label string, re
 // independent of each other: each rule runs on a worker with its
 // constraints buffered, merged in rule order afterwards.
 func (g *grounder) applyConstraintRules() error {
-	var jobs []*constraintJob
-	for i, rule := range g.n.res.Program.Rules {
-		if g.n.res.Classes[i] != analysis.SolverConstraintRule {
-			continue
-		}
-		j, err := g.buildConstraintJob(i, rule)
+	jobs := make([]*constraintJob, 0, len(g.n.prog.consIdx))
+	for _, ri := range g.n.prog.consIdx {
+		j, err := g.buildConstraintJob(ri, g.n.prog.res.Program.Rules[ri])
 		if err != nil {
 			return err
 		}
@@ -1300,7 +1281,7 @@ func (g *grounder) applyConstraintRules() error {
 		for _, e := range runs[i].reqs {
 			g.model.Require(e)
 		}
-		g.noteCacheRun(j.ri, j.rule, runs[i])
+		g.noteCacheRun(j.ri, runs[i])
 	}
 	return nil
 }
@@ -1320,17 +1301,20 @@ type constraintJob struct {
 // repeated variables — and plans the rule body.
 func (g *grounder) buildConstraintJob(ri int, rule *colog.Rule) (*constraintJob, error) {
 	label := ruleName(rule)
-	slots := g.slotsFor(rule)
-	seedBound := map[string]bool{}
+	seedBound := newVarSet(g.n.prog.slots[ri])
 	seed := make([]argOp, len(rule.Head.Args))
 	for ai, arg := range rule.Head.Args {
 		switch t := arg.(type) {
 		case *colog.VarTerm:
-			if seedBound[t.Name] {
-				seed[ai] = argOp{kind: argCheck, slot: slots.slotOf(t.Name)}
+			slot, err := seedBound.slots.slot(t.Name)
+			if err != nil {
+				return nil, everrf(label, "%v", err)
+			}
+			if seedBound.in[slot] {
+				seed[ai] = argOp{kind: argCheck, slot: slot}
 			} else {
-				seed[ai] = argOp{kind: argBind, slot: slots.slotOf(t.Name)}
-				seedBound[t.Name] = true
+				seed[ai] = argOp{kind: argBind, slot: slot}
+				seedBound.in[slot] = true
 			}
 		case *colog.ConstTerm:
 			seed[ai] = argOp{kind: argConst, val: t.Val}
@@ -1338,7 +1322,7 @@ func (g *grounder) buildConstraintJob(ri int, rule *colog.Rule) (*constraintJob,
 			return nil, everrf(label, "unsupported head argument %s", arg)
 		}
 	}
-	plan, err := g.planGroundBody(rule, seedBound)
+	plan, err := g.planGroundBody(ri, seedBound)
 	if err != nil {
 		return nil, err
 	}
@@ -1406,7 +1390,7 @@ func (g *grounder) setGoal() error {
 		// constraints.
 		return nil
 	}
-	if g.n.res.Program.Goal.Sense == colog.GoalMinimize {
+	if g.n.prog.res.Program.Goal.Sense == colog.GoalMinimize {
 		g.model.Minimize(objective)
 	} else {
 		g.model.Maximize(objective)
@@ -1425,7 +1409,7 @@ func (g *grounder) installGoal() error {
 	}
 	sense := solver.Satisfy
 	if found {
-		if g.n.res.Program.Goal.Sense == colog.GoalMinimize {
+		if g.n.prog.res.Program.Goal.Sense == colog.GoalMinimize {
 			sense = solver.Minimize
 		} else {
 			sense = solver.Maximize
@@ -1441,7 +1425,7 @@ func (g *grounder) installGoal() error {
 // the goal predicate, binding g.genv as a side effect. found is false for
 // satisfy programs and when no tuple matches the goal atom.
 func (g *grounder) computeGoal() (*solver.Expr, bool, error) {
-	goal := g.n.res.Program.Goal
+	goal := g.n.prog.res.Program.Goal
 	if goal == nil || goal.Sense == colog.GoalSatisfy {
 		return nil, false, nil
 	}

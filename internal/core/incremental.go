@@ -138,10 +138,9 @@ func (r *runRecorder) addPlanTaints(p *groundPlan) {
 
 // cachedRun is the cached grounding of one solver rule.
 type cachedRun struct {
-	out   []symTuple
-	reqs  []*solver.Expr
-	rec   *runRecorder
-	reads []string // body predicates, deduplicated
+	out  []symTuple
+	reqs []*solver.Expr
+	rec  *runRecorder
 }
 
 // netDelta is the net visible change of one row since the last solve.
@@ -152,15 +151,11 @@ type netDelta struct {
 
 // groundState is the grounding cache kept on the node between solves.
 type groundState struct {
-	model     *solver.Model
-	insts     []varInstance
-	varSym    map[string][]symTuple // symbolic tuples from var declarations
-	varPreds  map[string]bool       // predicates read by var declarations
-	headPreds map[string]bool       // solver derivation heads
-	levels    [][]int               // cached dependency levels
-	consIdx   []int                 // constraint-rule indices in program order
-	runs      map[int]*cachedRun
-	genv      map[string]colog.Value
+	model  *solver.Model
+	insts  []varInstance
+	varSym map[string][]symTuple // symbolic tuples from var declarations
+	runs   map[int]*cachedRun
+	genv   map[string]colog.Value
 	// nodesAtFull is the expression count right after the last full ground;
 	// when re-grounds accumulate enough dead nodes past it, the next solve
 	// compacts with a full ground.
@@ -168,14 +163,14 @@ type groundState struct {
 }
 
 // noteCacheRun stores a rule's grounding in the cache under construction.
-func (g *grounder) noteCacheRun(ri int, rule *colog.Rule, run *groundRun) {
+func (g *grounder) noteCacheRun(ri int, run *groundRun) {
 	if !g.recording {
 		return
 	}
 	if g.cacheRuns == nil {
 		g.cacheRuns = map[int]*cachedRun{}
 	}
-	g.cacheRuns[ri] = &cachedRun{out: run.out, reqs: run.reqs, rec: run.rec, reads: ruleReads(rule)}
+	g.cacheRuns[ri] = &cachedRun{out: run.out, reqs: run.reqs, rec: run.rec}
 }
 
 // inferShipKeys derives primary keys for the localization ship temps
@@ -433,33 +428,14 @@ func (n *Node) groundFull(g *grounder) (*GroundInfo, error) {
 		return nil, err
 	}
 
-	res := n.res
-	st := &groundState{
+	n.ground = &groundState{
 		model:       g.model,
 		insts:       g.insts,
 		varSym:      varSym,
-		varPreds:    map[string]bool{},
-		headPreds:   map[string]bool{},
-		levels:      solverRuleLevels(res.Program.Rules, res.SolverOrder),
 		runs:        g.cacheRuns,
 		genv:        g.genv,
 		nodesAtFull: g.model.NumExprNodes(),
 	}
-	for _, vd := range res.Program.Vars {
-		st.varPreds[vd.ForAll.Pred] = true
-		if vd.Domain != nil && vd.Domain.FromTable != "" {
-			st.varPreds[vd.Domain.FromTable] = true
-		}
-	}
-	for ri, class := range res.Classes {
-		switch class {
-		case analysis.SolverDerivationRule:
-			st.headPreds[res.Program.Rules[ri].Head.Pred] = true
-		case analysis.SolverConstraintRule:
-			st.consIdx = append(st.consIdx, ri)
-		}
-	}
-	n.ground = st
 	n.groundDeltas = nil
 	return info, nil
 }
@@ -482,7 +458,7 @@ func (n *Node) groundIncremental(g *grounder, st *groundState) (*GroundInfo, boo
 	}
 	// A change under a var declaration changes the variable set: full.
 	for pred := range dirty {
-		if st.varPreds[pred] {
+		if n.prog.varPreds[pred] {
 			return nil, false, nil
 		}
 	}
@@ -496,7 +472,7 @@ func (n *Node) groundIncremental(g *grounder, st *groundState) (*GroundInfo, boo
 		g.sym[pred] = sts[:len(sts):len(sts)]
 	}
 
-	rules := n.res.Program.Rules
+	rules := n.prog.res.Program.Rules
 	symChanged := map[string]bool{}
 	goalDirty := false
 
@@ -505,7 +481,7 @@ func (n *Node) groundIncremental(g *grounder, st *groundState) (*GroundInfo, boo
 		run := st.runs[ri]
 		upstream := constraint && symChanged[rule.Head.Pred]
 		var dirtyReads []string
-		for _, p := range run.reads {
+		for _, p := range n.prog.reads[ri] {
 			if symChanged[p] {
 				upstream = true
 			}
@@ -537,14 +513,14 @@ func (n *Node) groundIncremental(g *grounder, st *groundState) (*GroundInfo, boo
 				}
 			} else {
 				var plan *groundPlan
-				if plan, err = g.planGroundBody(rule, nil); err == nil {
+				if plan, err = g.planGroundBody(ri, varSet{}); err == nil {
 					fresh, err = g.groundRuleRun(rule, plan)
 				}
 			}
 			if err != nil {
 				return err
 			}
-			st.runs[ri] = &cachedRun{out: fresh.out, reqs: fresh.reqs, rec: fresh.rec, reads: run.reads}
+			st.runs[ri] = &cachedRun{out: fresh.out, reqs: fresh.reqs, rec: fresh.rec}
 			run = st.runs[ri]
 			if !constraint {
 				symChanged[rule.Head.Pred] = true
@@ -559,14 +535,14 @@ func (n *Node) groundIncremental(g *grounder, st *groundState) (*GroundInfo, boo
 		return nil
 	}
 
-	for _, level := range st.levels {
+	for _, level := range n.prog.levels {
 		for _, ri := range level {
 			if err := process(ri, false); err != nil {
 				return nil, false, err
 			}
 		}
 	}
-	for _, ri := range st.consIdx {
+	for _, ri := range n.prog.consIdx {
 		if err := process(ri, true); err != nil {
 			return nil, false, err
 		}
@@ -574,7 +550,7 @@ func (n *Node) groundIncremental(g *grounder, st *groundState) (*GroundInfo, boo
 
 	// Objective: recompute when the goal predicate's rows or symbolic
 	// tuples changed (cheap — it reuses the cached aggregate expressions).
-	if goal := n.res.Program.Goal; goal != nil && goal.Sense != colog.GoalSatisfy {
+	if goal := n.prog.res.Program.Goal; goal != nil && goal.Sense != colog.GoalSatisfy {
 		goalDirty = dirty[goal.Atom.Pred] != nil || symChanged[goal.Atom.Pred]
 		if goalDirty {
 			g.genv = nil
@@ -590,12 +566,12 @@ func (n *Node) groundIncremental(g *grounder, st *groundState) (*GroundInfo, boo
 	// list is element-wise identical and the cached search metadata
 	// survives.
 	var cs []*solver.Expr
-	for _, level := range st.levels {
+	for _, level := range n.prog.levels {
 		for _, ri := range level {
 			cs = append(cs, st.runs[ri].reqs...)
 		}
 	}
-	for _, ri := range st.consIdx {
+	for _, ri := range n.prog.consIdx {
 		cs = append(cs, st.runs[ri].reqs...)
 	}
 	st.model.SetConstraints(cs)
@@ -611,14 +587,14 @@ func (n *Node) groundIncremental(g *grounder, st *groundState) (*GroundInfo, boo
 func (n *Node) effectiveDeltas(st *groundState, pred string, rows map[string]*netDelta) []*netDelta {
 	out := make([]*netDelta, 0, len(rows))
 	sym := st.varSym[pred]
-	if len(sym) == 0 || st.headPreds[pred] {
+	if len(sym) == 0 || n.prog.headPreds[pred] {
 		// Not a pure var-declaration predicate: everything counts.
 		for _, nd := range rows {
 			out = append(out, nd)
 		}
 		return out
 	}
-	ti := n.res.Tables[pred]
+	ti := n.prog.res.Tables[pred]
 	shadow := map[string]bool{}
 	for _, stpl := range sym {
 		k, ok := symRegKey(ti, func(i int) (colog.Value, bool) {
@@ -773,7 +749,7 @@ func (n *Node) warmStartHints(g *grounder) map[int]int64 {
 		if inst.v == nil {
 			continue
 		}
-		ti := n.res.Tables[inst.pred]
+		ti := n.prog.res.Tables[inst.pred]
 		if ti == nil {
 			continue
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/colog"
@@ -16,7 +17,9 @@ import (
 // ---------------------------------------------------------------- slotting
 
 // ruleSlots assigns every variable name of one rule a dense integer slot,
-// so binding environments can be slices instead of maps.
+// so binding environments can be slices instead of maps. A layout is built
+// once by collectRuleSlots and is read-only afterwards: a Program shares it
+// between every node's delta plans and grounder.
 type ruleSlots struct {
 	names []string
 	idx   map[string]int
@@ -26,8 +29,9 @@ func newRuleSlots() *ruleSlots {
 	return &ruleSlots{idx: map[string]int{}}
 }
 
-// slotOf returns the slot for a name, allocating one on first use.
-func (s *ruleSlots) slotOf(name string) int {
+// add returns the slot for a name, allocating one on first use. Only the
+// layout builder calls it; compiled code resolves names with slot.
+func (s *ruleSlots) add(name string) int {
 	if i, ok := s.idx[name]; ok {
 		return i
 	}
@@ -43,13 +47,21 @@ func (s *ruleSlots) lookup(name string) (int, bool) {
 	return i, ok
 }
 
+// slot resolves a name the layout must hold; a miss is an error.
+func (s *ruleSlots) slot(name string) (int, error) {
+	if i, ok := s.idx[name]; ok {
+		return i, nil
+	}
+	return 0, fmt.Errorf("variable %s has no slot in the rule layout", name)
+}
+
 func (s *ruleSlots) size() int { return len(s.names) }
 
 // collectTermVars walks a term and registers its variables.
 func (s *ruleSlots) collectTermVars(t colog.Term) {
 	switch x := t.(type) {
 	case *colog.VarTerm:
-		s.slotOf(x.Name)
+		s.add(x.Name)
 	case *colog.BinTerm:
 		s.collectTermVars(x.L)
 		s.collectTermVars(x.R)
@@ -74,23 +86,54 @@ func collectRuleSlots(r *colog.Rule) *ruleSlots {
 		switch x := l.(type) {
 		case *colog.AtomLit:
 			for _, a := range x.Atom.Args {
+				if at, ok := a.(*colog.AggTerm); ok {
+					s.add(at.Over)
+					continue
+				}
 				s.collectTermVars(a)
 			}
 		case *colog.CondLit:
 			s.collectTermVars(x.Expr)
 		case *colog.AssignLit:
-			s.slotOf(x.Var)
+			s.add(x.Var)
 			s.collectTermVars(x.Expr)
 		}
 	}
 	for _, a := range r.Head.Args {
 		if at, ok := a.(*colog.AggTerm); ok {
-			s.slotOf(at.Over)
+			s.add(at.Over)
 			continue
 		}
 		s.collectTermVars(a)
 	}
 	return s
+}
+
+// varSet is a set of one rule's variables held as a slot-indexed bitmap:
+// the planners' record of which variables are bound (or may be symbolic)
+// at a point of the plan.
+type varSet struct {
+	slots *ruleSlots
+	in    []bool
+}
+
+func newVarSet(slots *ruleSlots) varSet {
+	return varSet{slots: slots, in: make([]bool, slots.size())}
+}
+
+func (s varSet) has(name string) bool {
+	i, ok := s.slots.lookup(name)
+	return ok && s.in[i]
+}
+
+// add marks a variable; a name outside the layout is an error.
+func (s varSet) add(name string) error {
+	i, err := s.slots.slot(name)
+	if err != nil {
+		return err
+	}
+	s.in[i] = true
+	return nil
 }
 
 // ------------------------------------------------------------ ground frame
@@ -184,17 +227,20 @@ type argOp struct {
 // compileArgOps compiles an atom's arguments against the statically-bound
 // variable set. Variables in bound (and repeats within the atom) become
 // checks; new variables become binds and are added to bound.
-func compileArgOps(a *colog.Atom, slots *ruleSlots, bound map[string]bool) []argOp {
+func compileArgOps(a *colog.Atom, bound varSet) ([]argOp, error) {
 	ops := make([]argOp, len(a.Args))
 	for i, arg := range a.Args {
 		switch t := arg.(type) {
 		case *colog.VarTerm:
-			slot := slots.slotOf(t.Name)
-			if bound[t.Name] {
+			slot, err := bound.slots.slot(t.Name)
+			if err != nil {
+				return nil, err
+			}
+			if bound.in[slot] {
 				ops[i] = argOp{kind: argCheck, slot: slot}
 			} else {
 				ops[i] = argOp{kind: argBind, slot: slot}
-				bound[t.Name] = true
+				bound.in[slot] = true
 			}
 		case *colog.ConstTerm:
 			ops[i] = argOp{kind: argConst, val: t.Val}
@@ -202,7 +248,7 @@ func compileArgOps(a *colog.Atom, slots *ruleSlots, bound map[string]bool) []arg
 			ops[i] = argOp{kind: argExpr, term: arg}
 		}
 	}
-	return ops
+	return ops, nil
 }
 
 // matchRow unifies a ground row against compiled arg ops, extending the
@@ -248,17 +294,21 @@ type probeOp struct {
 }
 
 // compileProbeOps builds the probe plan for an atom's bound columns.
-func compileProbeOps(a *colog.Atom, boundCols []int, slots *ruleSlots) []probeOp {
+func compileProbeOps(a *colog.Atom, boundCols []int, slots *ruleSlots) ([]probeOp, error) {
 	ops := make([]probeOp, len(boundCols))
 	for i, c := range boundCols {
 		switch t := a.Args[c].(type) {
 		case *colog.ConstTerm:
 			ops[i] = probeOp{slot: -1, val: t.Val}
 		case *colog.VarTerm:
-			ops[i] = probeOp{slot: slots.slotOf(t.Name)}
+			slot, err := slots.slot(t.Name)
+			if err != nil {
+				return nil, err
+			}
+			ops[i] = probeOp{slot: slot}
 		}
 	}
-	return ops
+	return ops, nil
 }
 
 // appendProbeKey builds the probe key into the frame's scratch buffer; the
@@ -472,22 +522,23 @@ type groundPlan struct {
 // (streaming sizes relations without materializing them); they differ only
 // in each join's row source and in the pushdown prefilter compiled for
 // streamed ground rows.
-func (g *grounder) planGroundBody(rule *colog.Rule, seedBound map[string]bool) (*groundPlan, error) {
+func (g *grounder) planGroundBody(ri int, seeded varSet) (*groundPlan, error) {
+	rule := g.n.prog.res.Program.Rules[ri]
 	label := ruleName(rule)
-	slots := g.slotsFor(rule)
-	p := &groundPlan{rule: rule, label: label, slots: slots}
+	slots := g.n.prog.slots[ri]
+	p := &groundPlan{rule: rule, label: label, slots: slots, steps: make([]gstep, 0, len(rule.Body))}
 
-	bound := map[string]bool{}
-	// maybe tracks which variables can hold a symbolic value at the current
-	// plan point — seeded head variables (constraint rules bind them from
-	// symbolic tuples), binds from solver-predicate joins, reified bindings,
-	// and expressions over any of those. The pushdown compiler treats checks
-	// against such variables as barriers.
-	maybe := map[string]bool{}
-	for v := range seedBound {
-		bound[v] = true
-		maybe[v] = true
-	}
+	// bound and maybe share one backing array. maybe tracks which variables
+	// can hold a symbolic value at the current plan point — seeded head
+	// variables (constraint rules bind them from symbolic tuples), binds
+	// from solver-predicate joins, reified bindings, and expressions over
+	// any of those. The pushdown compiler treats checks against such
+	// variables as barriers.
+	sets := make([]bool, 2*slots.size())
+	bound := varSet{slots: slots, in: sets[:slots.size()]}
+	maybe := varSet{slots: slots, in: sets[slots.size():]}
+	copy(bound.in, seeded.in)
+	copy(maybe.in, seeded.in)
 	type pending struct {
 		lit  colog.Literal
 		atom *colog.Atom
@@ -501,23 +552,6 @@ func (g *grounder) planGroundBody(rule *colog.Rule, seedBound map[string]bool) (
 		}
 	}
 
-	boundCount := func(a *colog.Atom) int {
-		n := 0
-		seen := map[string]bool{}
-		for _, arg := range a.Args {
-			switch t := arg.(type) {
-			case *colog.ConstTerm:
-				n++
-			case *colog.VarTerm:
-				if bound[t.Name] && !seen[t.Name] {
-					n++
-				}
-				seen[t.Name] = true
-			}
-		}
-		return n
-	}
-
 	for len(todo) > 0 {
 		picked := -1
 		var step gstep
@@ -529,23 +563,31 @@ func (g *grounder) planGroundBody(rule *colog.Rule, seedBound map[string]bool) (
 				if condBound(x.Expr, bound) {
 					picked, step = i, gstep{kind: gFilter, cond: x.Expr}
 				} else if name, rhs, k, reified, ok := splitBindableStatic(x.Expr, bound); ok {
+					slot, err := slots.slot(name)
+					if err != nil {
+						return nil, everrf(label, "%v", err)
+					}
 					if reified {
-						picked, step = i, gstep{kind: gReify, slot: slots.slotOf(name), rhs: rhs, k: k}
-						maybe[name] = true // ITE over solver expressions
+						picked, step = i, gstep{kind: gReify, slot: slot, rhs: rhs, k: k}
+						maybe.in[slot] = true // ITE over solver expressions
 					} else {
-						picked, step = i, gstep{kind: gBind, slot: slots.slotOf(name), rhs: rhs}
+						picked, step = i, gstep{kind: gBind, slot: slot, rhs: rhs}
 						if termMaybeSym(rhs, maybe) {
-							maybe[name] = true
+							maybe.in[slot] = true
 						}
 					}
-					bound[name] = true
+					bound.in[slot] = true
 				}
 			case *colog.AssignLit:
 				if condBound(x.Expr, bound) {
-					picked, step = i, gstep{kind: gAssign, slot: slots.slotOf(x.Var), rhs: x.Expr, rebind: bound[x.Var]}
-					bound[x.Var] = true
+					slot, err := slots.slot(x.Var)
+					if err != nil {
+						return nil, everrf(label, "%v", err)
+					}
+					picked, step = i, gstep{kind: gAssign, slot: slot, rhs: x.Expr, rebind: bound.in[slot]}
+					bound.in[slot] = true
 					if termMaybeSym(x.Expr, maybe) {
-						maybe[x.Var] = true
+						maybe.in[slot] = true
 					}
 				}
 			}
@@ -575,7 +617,7 @@ func (g *grounder) planGroundBody(rule *colog.Rule, seedBound map[string]bool) (
 					}
 					sz = len(rows)
 				}
-				bc := boundCount(pd.atom)
+				bc := countBoundCols(pd.atom, bound)
 				if bc > bestBound || (bc == bestBound && sz < bestSize) {
 					bestBound, bestSize = bc, sz
 					picked = i
@@ -583,58 +625,8 @@ func (g *grounder) planGroundBody(rule *colog.Rule, seedBound map[string]bool) (
 				}
 			}
 			if picked >= 0 {
-				a := step.atom
-				cols := joinBoundCols(a, bound)
-				// Probe only predicates with no symbolic tuples: for pure
-				// ground rows a probe skips exactly the rows that would
-				// have failed on a ground mismatch without side effects.
-				// Symbolic rows can post equality constraints from a
-				// partial match before a later argument fails (seed
-				// semantics the solver model depends on), so those
-				// predicates keep the full scan.
-				_, isSym := g.sym[a.Pred]
-				if g.stream {
-					step.streamed = true
-					if isSym {
-						step.symRows = g.sym[a.Pred]
-						gr, err := g.cachedGroundRows(a.Pred)
-						if err != nil {
-							return nil, everrf(label, "%v", err)
-						}
-						step.groundRows = gr
-					} else {
-						tbl := g.n.tables[a.Pred]
-						step.scan = tbl.snapshotStable()
-						if len(cols) > 0 {
-							step.probeOps = compileProbeOps(a, cols, slots)
-							step.gidx = tbl.ensureIndex(cols)
-						}
-					}
-				} else {
-					rows, err := g.cachedRows(a.Pred)
-					if err != nil {
-						return nil, everrf(label, "%v", err)
-					}
-					step.rows = rows
-					if len(cols) > 0 && !isSym {
-						step.probeOps = compileProbeOps(a, cols, slots)
-						step.idx = g.cachedSymIndex(a.Pred, cols, step.rows)
-					}
-				}
-				step.ops = compileArgOps(a, slots, bound)
-				if g.stream {
-					step.pre = compilePushdown(step.ops, func(slot int) bool {
-						return maybe[slots.names[slot]]
-					})
-					if isSym {
-						// Binds from a solver predicate can carry symbolic
-						// values into the frame.
-						for oi := range step.ops {
-							if step.ops[oi].kind == argBind {
-								maybe[slots.names[step.ops[oi].slot]] = true
-							}
-						}
-					}
+				if err := g.planJoin(&step, bound, maybe); err != nil {
+					return nil, everrf(label, "%v", err)
 				}
 			}
 		}
@@ -647,10 +639,71 @@ func (g *grounder) planGroundBody(rule *colog.Rule, seedBound map[string]bool) (
 	return p, nil
 }
 
+// planJoin resolves a scheduled join step's access path and compiles its
+// match ops and pushdown prefilter, extending bound (and maybe, for binds
+// from a solver predicate).
+func (g *grounder) planJoin(step *gstep, bound, maybe varSet) error {
+	a := step.atom
+	slots := bound.slots
+	cols := joinBoundCols(a, bound)
+	// Probe only predicates with no symbolic tuples: for pure ground rows a
+	// probe skips exactly the rows that would have failed on a ground
+	// mismatch without side effects. Symbolic rows can post equality
+	// constraints from a partial match before a later argument fails (seed
+	// semantics the solver model depends on), so those predicates keep the
+	// full scan.
+	_, isSym := g.sym[a.Pred]
+	var err error
+	if g.stream {
+		step.streamed = true
+		if isSym {
+			step.symRows = g.sym[a.Pred]
+			if step.groundRows, err = g.cachedGroundRows(a.Pred); err != nil {
+				return err
+			}
+		} else {
+			tbl := g.n.tables[a.Pred]
+			step.scan = tbl.snapshotStable()
+			if len(cols) > 0 {
+				if step.probeOps, err = compileProbeOps(a, cols, slots); err != nil {
+					return err
+				}
+				step.gidx = tbl.ensureIndex(cols)
+			}
+		}
+	} else {
+		if step.rows, err = g.cachedRows(a.Pred); err != nil {
+			return err
+		}
+		if len(cols) > 0 && !isSym {
+			if step.probeOps, err = compileProbeOps(a, cols, slots); err != nil {
+				return err
+			}
+			step.idx = g.cachedSymIndex(a.Pred, cols, step.rows)
+		}
+	}
+	if step.ops, err = compileArgOps(a, bound); err != nil {
+		return err
+	}
+	if g.stream {
+		step.pre = compilePushdown(step.ops, func(slot int) bool { return maybe.in[slot] })
+		if isSym {
+			// Binds from a solver predicate can carry symbolic values into
+			// the frame.
+			for oi := range step.ops {
+				if step.ops[oi].kind == argBind {
+					maybe.in[step.ops[oi].slot] = true
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // splitBindableStatic mirrors grounder.splitBindable over a static bound
 // set: it recognizes V==expr definitional equalities and the reified
 // (V==k)==(expr) form.
-func splitBindableStatic(cond colog.Term, bound map[string]bool) (name string, rhs colog.Term, k int64, reified, ok bool) {
+func splitBindableStatic(cond colog.Term, bound varSet) (name string, rhs colog.Term, k int64, reified, ok bool) {
 	bt, isBin := cond.(*colog.BinTerm)
 	if !isBin || bt.Op != colog.OpEq {
 		return "", nil, 0, false, false
@@ -660,7 +713,7 @@ func splitBindableStatic(cond colog.Term, bound map[string]bool) (name string, r
 		if !isVar {
 			return "", false
 		}
-		return v.Name, !bound[v.Name]
+		return v.Name, !bound.has(v.Name)
 	}
 	if n, u := unbound(bt.L); u && condBound(bt.R, bound) {
 		return n, bt.R, 0, false, true

@@ -14,7 +14,7 @@ import (
 
 func TestBindFrameTrailUndo(t *testing.T) {
 	slots := newRuleSlots()
-	a, b := slots.slotOf("A"), slots.slotOf("B")
+	a, b := slots.add("A"), slots.add("B")
 	f := newBindFrame(slots)
 	f.bind(a, ival(1))
 	m := f.mark()
@@ -64,7 +64,13 @@ func TestJoinBoundColsSelection(t *testing.T) {
 			q = al.Atom
 		}
 	}
-	cols := joinBoundCols(q, map[string]bool{"X": true, "Y": true})
+	bound := newVarSet(collectRuleSlots(prog.Rules[0]))
+	for _, name := range []string{"X", "Y"} {
+		if err := bound.add(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cols := joinBoundCols(q, bound)
 	if !reflect.DeepEqual(cols, []int{0, 1, 2}) {
 		t.Fatalf("boundCols = %v, want [0 1 2] (X, const 5, Y; repeated X excluded)", cols)
 	}
@@ -75,7 +81,7 @@ func TestJoinBoundColsSelection(t *testing.T) {
 func TestCompiledPlanProbesIndex(t *testing.T) {
 	n := newTestNode(t, `r1 pair(V,W) <- vm(V,H), vm2(W,H).`, Config{})
 	var joinStep *planStep
-	for _, p := range n.plans["vm"] {
+	for _, p := range n.prog.plans["vm"] {
 		for i := range p.steps {
 			if p.steps[i].kind == stepJoin && !p.steps[i].isTrigger {
 				joinStep = &p.steps[i]
@@ -139,13 +145,13 @@ d1 obj(SUM<S>) <- big(H,W), small(H), pick(V,X), S==X*W.
 	if err := g.createVars(); err != nil {
 		t.Fatal(err)
 	}
-	var rule *colog.Rule
-	for _, r := range n.res.Program.Rules {
+	ri := -1
+	for i, r := range n.prog.res.Program.Rules {
 		if r.Label == "d1" {
-			rule = r
+			ri = i
 		}
 	}
-	p, err := g.planGroundBody(rule, nil)
+	p, err := g.planGroundBody(ri, varSet{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,12 +115,14 @@ type NodeStats struct {
 type Node struct {
 	Addr string
 
-	res    *analysis.Result
+	prog   *Program
 	cfg    Config
 	tr     transport.Transport
 	tables map[string]*table
-	plans  map[string][]*plan
 	aggs   map[int]*aggState
+	// runs holds this node's mutable state per shared plan, by plan id;
+	// the slice and each entry are allocated on first firing.
+	runs []planRun
 
 	queue    []delta
 	qhead    int
@@ -129,10 +131,8 @@ type Node struct {
 	draining bool
 	mu       sync.Mutex
 
-	// Recursive-group (DRed) state; see dred.go.
-	groups      []*recursiveGroup
-	groupOfHead map[int]int
-	feedsGroup  map[string][]int
+	// Recursive groups awaiting recompute (DRed; the groups themselves
+	// are the Program's, see dred.go).
 	dirtyGroups map[int]bool
 
 	lastMaterialized map[string][]Tuple
@@ -182,21 +182,15 @@ type Node struct {
 }
 
 // NewNode creates a Cologne instance for an analyzed program. The node
-// registers itself on the transport under addr.
+// registers itself on the transport under addr. It compiles the program
+// for this one node; callers building many nodes of one program should
+// Compile once and use Program.NewNode.
 func NewNode(addr string, res *analysis.Result, cfg Config, tr transport.Transport) (*Node, error) {
-	n, err := newNode(addr, res, cfg, tr)
+	p, err := Compile(res, cfg.Keys, cfg.Events)
 	if err != nil {
 		return nil, err
 	}
-	// Load program facts addressed to this node (or unaddressed facts in
-	// centralized mode), unless the caller defers them for multi-process
-	// bring-up.
-	if !cfg.DeferFacts {
-		if err := n.InsertProgramFacts(); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
+	return p.NewNode(addr, cfg, tr)
 }
 
 // RestoreNode rebuilds a node from a checkpoint exported by
@@ -209,56 +203,11 @@ func NewNode(addr string, res *analysis.Result, cfg Config, tr transport.Transpo
 // anti-entropy resync (StartResync) pulls whatever the cluster decided
 // since.
 func RestoreNode(addr string, res *analysis.Result, cfg Config, tr transport.Transport, checkpoint []byte) (*Node, error) {
-	n, err := newNode(addr, res, cfg, tr)
+	p, err := Compile(res, cfg.Keys, cfg.Events)
 	if err != nil {
 		return nil, err
 	}
-	if err := n.ImportCheckpoint(checkpoint); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// newNode builds and registers an instance without loading program facts.
-func newNode(addr string, res *analysis.Result, cfg Config, tr transport.Transport) (*Node, error) {
-	if _, err := streamingGround(cfg.GroundMode); err != nil {
-		return nil, err
-	}
-	plans, err := compileRules(res)
-	if err != nil {
-		return nil, err
-	}
-	n := &Node{
-		Addr:             addr,
-		res:              res,
-		cfg:              cfg,
-		tr:               tr,
-		tables:           map[string]*table{},
-		plans:            plans,
-		aggs:             map[int]*aggState{},
-		lastMaterialized: map[string][]Tuple{},
-	}
-	if cfg.Storage != nil {
-		n.wal = cfg.Storage.Log()
-	}
-	events := map[string]bool{InvokeSolverPred: true}
-	for _, e := range cfg.Events {
-		events[e] = true
-	}
-	keys := inferShipKeys(res, cfg.Keys, res.Program.Rules)
-	for name, ti := range res.Tables {
-		n.tables[name] = newTable(name, ti.Arity, keys[name], events[name])
-	}
-	if _, ok := n.tables[InvokeSolverPred]; !ok {
-		n.tables[InvokeSolverPred] = newTable(InvokeSolverPred, 0, nil, true)
-	}
-	n.dirtyGroups = map[int]bool{}
-	n.repl.init()
-	n.initDred()
-	if tr != nil {
-		tr.Register(addr, n.handleMessage)
-	}
-	return n, nil
+	return p.RestoreNode(addr, cfg, tr, checkpoint)
 }
 
 // Stats returns evaluation counters.
@@ -331,7 +280,7 @@ func runLimited(n, workers int, fn func(int)) {
 }
 
 // Program returns the analyzed program the node executes.
-func (n *Node) Program() *analysis.Result { return n.res }
+func (n *Node) Program() *analysis.Result { return n.prog.res }
 
 // Insert adds a fact and runs incremental evaluation to fixpoint.
 func (n *Node) Insert(pred string, vals ...colog.Value) error {
@@ -659,8 +608,8 @@ func (n *Node) processTransition(tr delta, skipGroup int) error {
 		n.markDirtyFor(tr.tuple.Pred)
 	}
 	var firstErr error
-	for _, p := range n.plans[tr.tuple.Pred] {
-		if gi, ok := n.groupOfHead[p.ruleIdx]; ok && (gi == skipGroup || n.dirtyGroups[gi]) {
+	for _, p := range n.prog.plans[tr.tuple.Pred] {
+		if gi, ok := n.prog.groupOfHead[p.ruleIdx]; ok && (gi == skipGroup || n.dirtyGroups[gi]) {
 			continue
 		}
 		if err := n.runPlan(p, tr); err != nil && firstErr == nil {
@@ -694,7 +643,7 @@ func (n *Node) fireInvokeSolver() {
 // attribute matches this node (or the table has none), otherwise serialized
 // and sent over the transport.
 func (n *Node) route(tuple Tuple, sign int) error {
-	ti := n.res.Tables[tuple.Pred]
+	ti := n.prog.res.Tables[tuple.Pred]
 	if ti != nil && ti.LocCol >= 0 {
 		loc := tuple.Vals[ti.LocCol]
 		addr := locAddr(loc)
@@ -740,20 +689,52 @@ func locAddr(v colog.Value) string {
 	return v.String()
 }
 
+// planRun is one node's mutable state for one shared plan. Delta
+// evaluation under the node lock is single-threaded and never re-enters
+// the same plan, so one binding frame per plan eliminates all per-row
+// environment allocations; idx memoizes each probing join step's table
+// index until the table drops its indexes.
+type planRun struct {
+	frame *bindFrame
+	idx   []stepIndex // parallel to plan.steps
+}
+
+// stepIndex is a join step's memoized index and the table's indexGen it
+// was taken at.
+type stepIndex struct {
+	ix  *tableIndex
+	gen uint64
+}
+
+// planRun returns the node's state for p, allocating it on first firing.
+func (n *Node) planRun(p *plan) *planRun {
+	if n.runs == nil {
+		n.runs = make([]planRun, n.prog.nplans)
+	}
+	run := &n.runs[p.id]
+	if run.frame == nil {
+		run.frame = newBindFrame(p.slots)
+		run.idx = make([]stepIndex, len(p.steps))
+	}
+	return run
+}
+
 // runPlan executes one compiled delta plan for a visible transition. The
-// plan's scratch frame replaces per-row environment maps: bindings are
+// node's frame for the plan replaces per-row environment maps: bindings are
 // trailed and undone on backtrack, so plan execution allocates only for
 // emitted head tuples.
 func (n *Node) runPlan(p *plan, d delta) error {
-	f := p.frame
+	run := n.planRun(p)
+	f := run.frame
 	f.reset()
 	if !matchRow(p.steps[0].argOps, d.tuple.Vals, f) {
 		return nil
 	}
-	return n.execSteps(p, 1, f, d)
+	return n.execSteps(p, run, 1, d)
 }
 
-func (n *Node) execSteps(p *plan, idx int, f *bindFrame, d delta) error {
+func (n *Node) execSteps(p *plan, run *planRun, idx int, d delta) error {
+	f := run.frame
 	if idx == len(p.steps) {
 		return n.emitHead(p, f, d.sign)
 	}
@@ -765,19 +746,20 @@ func (n *Node) execSteps(p *plan, idx int, f *bindFrame, d delta) error {
 			return everrf(step.atom.Pred, "unknown predicate in join")
 		}
 		if len(step.boundCols) > 0 {
-			if step.cachedIdx == nil || step.cachedGen != t.indexGen {
-				step.cachedIdx = t.ensureIndexNamed(step.idxKey, step.boundCols)
-				step.cachedGen = t.indexGen
+			memo := &run.idx[idx]
+			if memo.ix == nil || memo.gen != t.indexGen {
+				memo.ix = t.ensureIndexNamed(step.idxKey, step.boundCols)
+				memo.gen = t.indexGen
 			}
 			key := f.appendProbeKey(step.probeOps)
-			for _, r := range step.cachedIdx.probeBytes(key) {
-				if err := n.execJoinRow(p, idx, f, d, r.vals); err != nil {
+			for _, r := range memo.ix.probeBytes(key) {
+				if err := n.execJoinRow(p, run, idx, d, r.vals); err != nil {
 					return err
 				}
 			}
 		} else {
 			for _, rowVals := range t.snapshotUnordered() {
-				if err := n.execJoinRow(p, idx, f, d, rowVals); err != nil {
+				if err := n.execJoinRow(p, run, idx, d, rowVals); err != nil {
 					return err
 				}
 			}
@@ -786,7 +768,7 @@ func (n *Node) execSteps(p *plan, idx int, f *bindFrame, d delta) error {
 		// the store, but derivations pairing it with itself must still be
 		// retracted.
 		if d.sign < 0 && step.atom.Pred == d.tuple.Pred {
-			return n.execJoinRow(p, idx, f, d, d.tuple.Vals)
+			return n.execJoinRow(p, run, idx, d, d.tuple.Vals)
 		}
 		return nil
 	case stepFilter:
@@ -800,7 +782,7 @@ func (n *Node) execSteps(p *plan, idx int, f *bindFrame, d delta) error {
 		if !v.B {
 			return nil
 		}
-		return n.execSteps(p, idx+1, f, d)
+		return n.execSteps(p, run, idx+1, d)
 	case stepBind, stepAssign:
 		v, err := evalGround(step.expr, f)
 		if err != nil {
@@ -811,12 +793,12 @@ func (n *Node) execSteps(p *plan, idx int, f *bindFrame, d delta) error {
 			// on backtrack instead of trailing a fresh binding.
 			prev := f.vals[step.slot]
 			f.vals[step.slot] = v
-			err := n.execSteps(p, idx+1, f, d)
+			err := n.execSteps(p, run, idx+1, d)
 			f.vals[step.slot] = prev
 			return err
 		}
 		f.bind(step.slot, v)
-		return n.execSteps(p, idx+1, f, d)
+		return n.execSteps(p, run, idx+1, d)
 	}
 	return everrf(ruleName(p.rule), "unknown plan step")
 }
@@ -824,15 +806,16 @@ func (n *Node) execSteps(p *plan, idx int, f *bindFrame, d delta) error {
 // execJoinRow runs one candidate row through a join step: the pushdown
 // prefilter rejects most non-matching rows against the raw values before
 // the frame is touched, then the full op list binds and checks as before.
-func (n *Node) execJoinRow(p *plan, idx int, f *bindFrame, d delta, rowVals []colog.Value) error {
+func (n *Node) execJoinRow(p *plan, run *planRun, idx int, d delta, rowVals []colog.Value) error {
 	step := &p.steps[idx]
+	f := run.frame
 	if !f.rowPrefilter(step.preCmps, len(step.argOps), rowVals) {
 		return nil
 	}
 	m := f.mark()
 	var err error
 	if matchRow(step.argOps, rowVals, f) {
-		err = n.execSteps(p, idx+1, f, d)
+		err = n.execSteps(p, run, idx+1, d)
 	}
 	f.undo(m)
 	return err

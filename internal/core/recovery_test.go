@@ -367,7 +367,11 @@ func TestResyncLargeTableChunks(t *testing.T) {
 
 	// The subscriber crashes cold (no checkpoint): a fresh instance with
 	// nothing, pulling the publisher's full >60 KiB assertion state.
-	fresh, err := newNode("b", res, Config{}, tr)
+	compiled, err := Compile(res, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := compiled.newNode("b", Config{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

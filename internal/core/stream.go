@@ -172,10 +172,10 @@ func (f *symFrame) rowPrefilter(cmps []rowCmp, arity int, vals []colog.Value) bo
 // termMaybeSym reports whether evaluating the term under the current frame
 // could yield a symbolic value: true iff any variable it mentions might be
 // symbolic.
-func termMaybeSym(t colog.Term, maybe map[string]bool) bool {
+func termMaybeSym(t colog.Term, maybe varSet) bool {
 	switch x := t.(type) {
 	case *colog.VarTerm:
-		return maybe[x.Name]
+		return maybe.has(x.Name)
 	case *colog.BinTerm:
 		return termMaybeSym(x.L, maybe) || termMaybeSym(x.R, maybe)
 	case *colog.NegTerm:
@@ -234,7 +234,7 @@ func (g *grounder) cachedGroundRows(pred string) ([][]colog.Value, error) {
 	tbl := g.n.tables[pred]
 	var out [][]colog.Value
 	if tbl != nil && tbl.size() > 0 {
-		ti := g.n.res.Tables[pred]
+		ti := g.n.prog.res.Tables[pred]
 		shadow := map[string]bool{}
 		for _, st := range sts {
 			if k, ok := symRegKey(ti, func(i int) (colog.Value, bool) {

@@ -345,21 +345,11 @@ func decodeWALResync(rec []byte) (peer string, tables []resyncMirror, plan []res
 // and a bracket torn mid-invoke simply ends the replay — anti-entropy
 // resync reconciles whatever the lost suffix contained.
 func ReplayNode(addr string, res *analysis.Result, cfg Config, tr transport.Transport) (*Node, error) {
-	if cfg.Storage == nil || cfg.Storage.Log() == nil {
-		return nil, fmt.Errorf("core: replay at %s: storage backend has no log", addr)
-	}
-	recs, err := cfg.Storage.Log().ReadRecords()
-	if err != nil {
-		return nil, fmt.Errorf("core: replay at %s: %w", addr, err)
-	}
-	n, err := newNode(addr, res, cfg, tr)
+	p, err := Compile(res, cfg.Keys, cfg.Events)
 	if err != nil {
 		return nil, err
 	}
-	if err := n.replayLog(recs); err != nil {
-		return nil, fmt.Errorf("core: replay at %s: %w", addr, err)
-	}
-	return n, nil
+	return p.ReplayNode(addr, cfg, tr)
 }
 
 // replayLog re-executes the log records against a freshly constructed
@@ -526,12 +516,12 @@ func (n *Node) SetEnsureInserts(on bool) {
 // same loading NewNode performs. Exposed for the restart path, which
 // constructs nodes via replay (no fact loading) and then re-ensures them.
 func (n *Node) InsertProgramFacts() error {
-	for _, f := range n.res.Program.Facts {
+	for _, f := range n.prog.res.Program.Facts {
 		vals := make([]colog.Value, len(f.Atom.Args))
 		for i, a := range f.Atom.Args {
 			vals[i] = a.(*colog.ConstTerm).Val
 		}
-		ti := n.res.Tables[f.Atom.Pred]
+		ti := n.prog.res.Tables[f.Atom.Pred]
 		if ti.LocCol >= 0 && vals[ti.LocCol].S != n.Addr {
 			continue
 		}

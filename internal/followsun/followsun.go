@@ -352,8 +352,13 @@ func (r *runner) setup() error {
 			r.nodes[name] = r.rt.Node(name)
 		}
 	} else {
+		cfg := mkConfig()
+		prog, err := core.Compile(ares, cfg.Keys, cfg.Events)
+		if err != nil {
+			return err
+		}
 		for _, name := range r.names {
-			node, err := core.NewNode(name, ares, mkConfig(), r.tr)
+			node, err := prog.NewNode(name, cfg, r.tr)
 			if err != nil {
 				return err
 			}

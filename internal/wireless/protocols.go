@@ -320,10 +320,14 @@ func distributedAssignment(t *Topology, p Params, res *Result) (Assignment, erro
 	sched := sim.NewScheduler()
 	tr := transport.NewSim(sched, 2*time.Millisecond)
 	entry := programs.WirelessDistributed(p.FMindiff, p.TwoHopCost)
-	ares := entry.Analyze()
+	cfg := distributedConfig(p, entry)
+	prog, err := core.Compile(entry.Analyze(), cfg.Keys, cfg.Events)
+	if err != nil {
+		return nil, err
+	}
 	nodes := map[NodeID]*core.Node{}
 	for _, n := range t.Nodes {
-		node, err := core.NewNode(string(n), ares, distributedConfig(p, entry), tr)
+		node, err := prog.NewNode(string(n), cfg, tr)
 		if err != nil {
 			return nil, err
 		}
