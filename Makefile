@@ -90,9 +90,11 @@ bench-smoke-repo:
 recovery-equivalence:
 	$(GO) test -count=1 -run 'TestRecovery' ./internal/cluster ./internal/acloud ./internal/followsun ./internal/wireless
 
-# The streaming-grounding gate: the pipelined join path with predicate
-# pushdown must solve bit-identically to materialized grounding under churn
-# (tables, objectives, solver-node traces; see docs/grounding.md).
+# The streaming-grounding gate: under churn, the pipelined join path with
+# predicate pushdown must reproduce the recorded reference
+# internal/core/testdata/ground_equiv.golden at every step (tables,
+# objectives, solver-node traces, grounded model text; see
+# docs/grounding.md).
 streaming-equivalence:
 	$(GO) test -count=1 -run 'TestStreamingGroundEquivalence' ./internal/core
 

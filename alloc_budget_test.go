@@ -34,9 +34,9 @@ func readAllocBudget(t *testing.T, path string) int64 {
 	return 0
 }
 
-// TestGroundAllocBudget is the allocation-regression gate for the streaming
-// grounding path: it benchmarks BenchmarkGroundPeakAlloc/streaming in-process
-// and fails if B/op exceeds the ceiling committed in ground_alloc_budget.txt.
+// TestGroundAllocBudget is the allocation-regression gate for the grounding
+// join path: it benchmarks BenchmarkGroundPeakAlloc in-process and fails if
+// B/op exceeds the ceiling committed in ground_alloc_budget.txt.
 // A failure means a change re-introduced per-row garbage on the grounding
 // join path (a row lift, a transient index, an unpooled frame); either
 // remove the allocation or consciously raise the budget in the same commit.
@@ -48,11 +48,11 @@ func TestGroundAllocBudget(t *testing.T) {
 		t.Skip("benchmark-backed gate")
 	}
 	budget := readAllocBudget(t, "ground_alloc_budget.txt")
-	res := testing.Benchmark(groundPeakAllocBench("streaming"))
+	res := testing.Benchmark(BenchmarkGroundPeakAlloc)
 	if got := res.AllocedBytesPerOp(); got > budget {
-		t.Fatalf("streaming grounding allocates %d B/op, budget is %d B/op (ground_alloc_budget.txt)", got, budget)
+		t.Fatalf("grounding allocates %d B/op, budget is %d B/op (ground_alloc_budget.txt)", got, budget)
 	} else {
-		t.Logf("streaming grounding: %d B/op within budget %d B/op", got, budget)
+		t.Logf("grounding: %d B/op within budget %d B/op", got, budget)
 	}
 }
 

@@ -540,79 +540,14 @@ func BenchmarkAblationJoinIndex(b *testing.B) {
 	}
 }
 
-// groundModes compares the streaming grounding pipeline against the
-// materialized escape hatch (same emission order byte for byte, pinned by
-// TestStreamingGroundEquivalence).
-var groundModes = []string{"streaming", "materialized"}
-
-// acloudBenchNode builds the standard 48-VM x 4-host ACloud bench node.
-func acloudBenchNode(b *testing.B, mutate func(*core.Config)) *core.Node {
-	b.Helper()
-	e := programs.ACloud(false, 0)
-	cfg := e.Config
-	cfg.SolverPropagate = true
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	node, err := core.NewNode("bench", e.Analyze(), cfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for h := 0; h < 4; h++ {
-		node.Insert("host", colog.StringVal(fmt.Sprintf("h%d", h)), colog.IntVal(0), colog.IntVal(0))
-		node.Insert("hostMemThres", colog.StringVal(fmt.Sprintf("h%d", h)), colog.IntVal(1<<20))
-	}
-	for v := 0; v < 48; v++ {
-		node.Insert("vmRaw", colog.StringVal(fmt.Sprintf("vm%d", v)),
-			colog.IntVal(int64(25+v%60)), colog.IntVal(512))
-	}
-	return node
-}
-
-// BenchmarkAblationGroundStream measures the streaming grounding pipeline
-// against the materialized join path on a full ACloud solve (same model,
-// same trace — the delta is pure grounding cost and garbage).
-func BenchmarkAblationGroundStream(b *testing.B) {
-	for _, mode := range groundModes {
-		mode := mode
-		b.Run(mode, func(b *testing.B) {
-			node := acloudBenchNode(b, func(cfg *core.Config) {
-				cfg.SolverMaxNodes = 600
-				cfg.GroundMode = mode
-			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			var res *core.SolveResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = node.Solve(core.SolveOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Stats.Nodes), "search-nodes")
-		})
-	}
-}
-
 // BenchmarkGroundPeakAlloc isolates grounding-path allocation on a
 // join-heavy COP: a small variable set joined against a 4000-row ground
 // table inside a solver derivation rule. The model is tiny and the solve
 // stops at the first incumbent, so B/op and allocs/op are dominated by join
-// execution — where the materialized path lifts every ground row into a
-// fresh symbolic tuple and builds transient indexes per solve, and the
-// streaming path probes the table's persistent seq-ordered index over raw
-// rows. The CI allocation gate (TestGroundAllocBudget) holds the streaming
-// variant under the budget committed in ground_alloc_budget.txt.
+// execution, which probes the table's persistent seq-ordered index over raw
+// rows. The CI allocation gate (TestGroundAllocBudget) holds it under the
+// budget committed in ground_alloc_budget.txt.
 func BenchmarkGroundPeakAlloc(b *testing.B) {
-	for _, mode := range groundModes {
-		b.Run(mode, groundPeakAllocBench(mode))
-	}
-}
-
-// groundPeakAllocBench is one BenchmarkGroundPeakAlloc variant, shared with
-// the TestGroundAllocBudget regression gate.
-func groundPeakAllocBench(mode string) func(b *testing.B) {
 	src := `
 goal minimize C in cost(C).
 var sel(S,T) forall site(S).
@@ -623,41 +558,38 @@ link(1,0,50).
 d1 siteCost(S,SUM<X>) <- sel(S,T), link(S,7,W), X==T*W.
 d2 cost(SUM<X>) <- siteCost(S,X).
 `
-	return func(b *testing.B) {
-		prog, err := colog.Parse(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ares, err := analysis.Analyze(prog, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		node, err := core.NewNode("bench", ares, core.Config{
-			SolverPropagate: true,
-			GroundMode:      mode,
-		}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for s := 1; s <= 8; s++ {
-			for k := 1; k < 500; k++ {
-				if err := node.Insert("link", colog.IntVal(int64(s)),
-					colog.IntVal(int64(k)), colog.IntVal(int64(10+(s*k)%90))); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		// One warmup solve pays the one-time index/snapshot builds so the
-		// measured B/op is the steady-state grounding cost at any -benchtime.
-		if _, err := node.Solve(core.SolveOptions{FirstSolution: true}); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := node.Solve(core.SolveOptions{FirstSolution: true}); err != nil {
+	prog, err := colog.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ares, err := analysis.Analyze(prog, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	node, err := core.NewNode("bench", ares, core.Config{
+		SolverPropagate: true,
+	}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for s := 1; s <= 8; s++ {
+		for k := 1; k < 500; k++ {
+			if err := node.Insert("link", colog.IntVal(int64(s)),
+				colog.IntVal(int64(k)), colog.IntVal(int64(10+(s*k)%90))); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+	// One warmup solve pays the one-time index/snapshot builds so the
+	// measured B/op is the steady-state grounding cost at any -benchtime.
+	if _, err := node.Solve(core.SolveOptions{FirstSolution: true}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := node.Solve(core.SolveOptions{FirstSolution: true}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -42,7 +42,6 @@ type cliOptions struct {
 	maxNodes     *int64
 	restarts     *int
 	engine       *string
-	groundMode   *string
 	fixpoint     *bool
 	incr         *bool
 	warm         *bool
@@ -75,8 +74,6 @@ func registerFlags(fs *flag.FlagSet) *cliOptions {
 			"restart the search N times with geometrically growing node limits;\nsaved phases feed later runs' warm-start hints (0 = no restarts)"),
 		engine: fs.String("solver-engine", "event",
 			"search core: 'event' (event-driven propagation engine) or 'legacy'\n(seed forward-checking core; same results, for ablations)"),
-		groundMode: fs.String("ground-mode", "streaming",
-			"grounding join path: 'streaming' (pipelined iterators with predicate\npushdown) or 'materialized' (build intermediate row sets; same results,\nfor ablations)"),
 		fixpoint: fs.Bool("solver-fixpoint", false,
 			"drain the propagator queue to fixpoint after each assignment\n(stronger pruning; same optima, fewer search nodes)"),
 		incr: fs.Bool("solver-incremental", false,
@@ -124,9 +121,6 @@ func (o *cliOptions) config() (core.Config, error) {
 	if *o.engine != "event" && *o.engine != "legacy" {
 		return core.Config{}, fmt.Errorf("unknown -solver-engine %q (want event or legacy)", *o.engine)
 	}
-	if m := *o.groundMode; m != "streaming" && m != "materialized" {
-		return core.Config{}, fmt.Errorf("unknown -ground-mode %q (want streaming or materialized)", m)
-	}
 	if m := *o.clusterMode; m != "off" && m != "sim" && m != "udp" {
 		return core.Config{}, fmt.Errorf("unknown -cluster-mode %q (want off, sim, or udp)", m)
 	}
@@ -153,7 +147,6 @@ func (o *cliOptions) config() (core.Config, error) {
 		SolverMaxNodes:    *o.maxNodes,
 		SolverPropagate:   true,
 		SolverEngine:      *o.engine,
-		GroundMode:        *o.groundMode,
 		SolverFixpoint:    *o.fixpoint,
 		SolverRestarts:    *o.restarts,
 		SolverIncremental: *o.incr,

@@ -19,10 +19,9 @@
 //     the solved assignment is materialized back into the tables,
 //     triggering downstream regular rules. Joins stream directly off the
 //     tables through single-use pipelined iterators with predicate
-//     pushdown (stream.go); Config.GroundMode selects the materialized
-//     escape hatch, which produces byte-identical results. With
-//     Config.SolverIncremental the grounding is cached between solves and
-//     patched in place as tuples churn (incremental.go).
+//     pushdown (stream.go). With Config.SolverIncremental the grounding is
+//     cached between solves and patched in place as tuples churn
+//     (incremental.go).
 //
 // See docs/architecture.md for the end-to-end dataflow, docs/grounding.md
 // for the grounding internals, and docs/tuning.md for the engine's

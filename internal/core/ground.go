@@ -11,7 +11,7 @@ import (
 
 // gval is a grounding-time value: either a ground constant or a symbolic
 // solver expression (the runtime representation of a solver attribute).
-// When the incremental grounder is recording, ground values lifted from
+// When the incremental grounder is recording, ground values bound from
 // table cells carry their provenance so constants grounded from them can be
 // patched in place when the cell's value changes (see incremental.go).
 type gval struct {
@@ -59,12 +59,9 @@ type varInstance struct {
 // index probes), evaluated over a slice-backed binding frame with an undo
 // trail, and independent rules within a dependency level are grounded by a
 // bounded worker pool with results merged deterministically in rule order.
-// In the default streaming mode (Config.GroundMode) joins consume tables
-// directly through the persistent arrival-ordered indexes and memoized
-// scans with compares pushed down into the row source (see stream.go); the
-// materialized mode keeps the merged per-predicate row sets and transient
-// indexes as an escape hatch. Both modes emit derivations and constraints
-// in byte-identical order.
+// Joins consume tables directly through the persistent arrival-ordered
+// indexes and memoized scans, with compares pushed down into the row source
+// (see stream.go).
 type grounder struct {
 	n     *Node
 	model *solver.Model
@@ -72,89 +69,28 @@ type grounder struct {
 	insts []varInstance
 	genv  map[string]colog.Value // goal bindings after grounding
 
-	// stream selects the streaming join path (resolved from
-	// Config.GroundMode before grounding starts).
-	stream bool
-
-	// Per-solve caches, written only between parallel phases: merged row
-	// sets and transient indexes over them (materialized mode), and
-	// unshadowed ground-row tails of solver predicates (streaming mode).
-	// Variable slot layouts are the Program's, shared by every solve.
-	rowsCache       map[string][]symTuple
-	idxCache        map[string]*symIndex
+	// Per-solve cache, written only between parallel phases: the
+	// unshadowed ground-row tails of solver predicates. Variable slot
+	// layouts are the Program's, shared by every solve.
 	groundRowsCache map[string][][]colog.Value
 
 	// recording enables provenance capture for the incremental grounding
-	// cache: lifted rows carry cell provenance and each rule run records
+	// cache: bound table cells carry provenance and each rule run records
 	// which constants it grounded from which cells (see incremental.go).
 	recording bool
 	cacheRuns map[int]*cachedRun
 }
 
-// cachedRows returns the merged row set for a predicate, cached until the
-// predicate's symbolic tuples change.
-func (g *grounder) cachedRows(pred string) ([]symTuple, error) {
-	if rows, ok := g.rowsCache[pred]; ok {
-		return rows, nil
-	}
-	rows, err := g.rowsFor(pred)
-	if err != nil {
-		return nil, err
-	}
-	if g.rowsCache == nil {
-		g.rowsCache = map[string][]symTuple{}
-	}
-	g.rowsCache[pred] = rows
-	return rows, nil
-}
-
-// cachedSymIndex returns a transient index over the predicate's merged rows
-// keyed on cols, built on first use.
-func (g *grounder) cachedSymIndex(pred string, cols []int, rows []symTuple) *symIndex {
-	key := pred + "#" + idxName(cols)
-	if ix, ok := g.idxCache[key]; ok {
-		return ix
-	}
-	ix := buildSymIndex(rows, cols)
-	if g.idxCache == nil {
-		g.idxCache = map[string]*symIndex{}
-	}
-	g.idxCache[key] = ix
-	return ix
-}
-
-// invalidatePred drops the caches for one predicate after its symbolic
+// invalidatePred drops the cache for one predicate after its symbolic
 // tuple set changed.
 func (g *grounder) invalidatePred(pred string) {
-	delete(g.rowsCache, pred)
 	delete(g.groundRowsCache, pred)
-	prefix := pred + "#"
-	for k := range g.idxCache {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(g.idxCache, k)
-		}
-	}
 }
 
-// unknownPredErr is the shared error for a body predicate with no table —
-// both grounding modes surface it identically at plan time.
+// unknownPredErr is the error for a body or goal predicate with no table,
+// surfaced at plan time.
 func unknownPredErr(pred string) error {
 	return fmt.Errorf("unknown predicate %s", pred)
-}
-
-// streamingGround maps Config.GroundMode to the grounder's join strategy.
-// The zero value selects streaming; "materialized" is the escape hatch that
-// rebuilds per-predicate merged row sets and transient indexes per solve.
-// Unknown names are an error, mirroring solverEngine.
-func streamingGround(mode string) (bool, error) {
-	switch mode {
-	case "", "streaming":
-		return true, nil
-	case "materialized":
-		return false, nil
-	default:
-		return false, fmt.Errorf("core: unknown GroundMode %q (want \"streaming\" or \"materialized\")", mode)
-	}
 }
 
 // solverEngine maps the Config.SolverEngine string to the solver's engine
@@ -283,15 +219,10 @@ func (n *Node) solveLocked(opts SolveOptions) (*SolveResult, error) {
 		return n.solveIncrementalLocked(opts)
 	}
 	groundStart := time.Now()
-	stream, err := streamingGround(n.cfg.GroundMode)
-	if err != nil {
-		return nil, err
-	}
 	g := &grounder{
-		n:      n,
-		model:  solver.NewModel(),
-		sym:    map[string][]symTuple{},
-		stream: stream,
+		n:     n,
+		model: solver.NewModel(),
+		sym:   map[string][]symTuple{},
 	}
 	if err := g.createVars(); err != nil {
 		return nil, err
@@ -695,8 +626,7 @@ func (g *grounder) groundRuleRun(rule *colog.Rule, p *groundPlan) (*groundRun, e
 }
 
 // execPlan runs the ordered body steps from idx onward, invoking sink for
-// every complete binding. Join steps probe the transient index when the
-// bound prefix is ground, falling back to the cached scan otherwise;
+// every complete binding. Join steps stream their rows (streamJoin);
 // bindings are trailed on the frame and undone per candidate row.
 func (g *grounder) execPlan(run *groundRun, p *groundPlan, idx int, sink func(*symFrame) error) error {
 	if idx == len(p.steps) {
@@ -706,19 +636,7 @@ func (g *grounder) execPlan(run *groundRun, p *groundPlan, idx int, sink func(*s
 	step := &p.steps[idx]
 	switch step.kind {
 	case gJoin:
-		if step.streamed {
-			return g.streamJoin(run, p, idx, sink)
-		}
-		if step.idx != nil {
-			if key, ok := f.appendProbeKey(step.probeOps); ok {
-				keyed, wild := step.idx.probe(key)
-				if err := g.joinRows(run, p, idx, keyed, sink); err != nil {
-					return err
-				}
-				return g.joinRows(run, p, idx, wild, sink)
-			}
-		}
-		return g.joinRows(run, p, idx, step.rows, sink)
+		return g.streamJoin(run, p, idx, sink)
 	case gFilter:
 		gv, err := g.evalSym(step.cond, f, p.label)
 		if err != nil {
@@ -791,92 +709,6 @@ func (g *grounder) execPlan(run *groundRun, p *groundPlan, idx int, sink func(*s
 		return nil
 	}
 	return everrf(p.label, "unknown grounding step")
-}
-
-func (g *grounder) joinRows(run *groundRun, p *groundPlan, idx int, rows []symTuple, sink func(*symFrame) error) error {
-	f := run.frame
-	ops := p.steps[idx].ops
-	for _, st := range rows {
-		m := f.mark()
-		ok, err := g.matchSymRow(run, ops, st, p.label)
-		if err != nil {
-			return err
-		}
-		if ok {
-			if err := g.execPlan(run, p, idx+1, sink); err != nil {
-				return err
-			}
-		}
-		f.undo(m)
-	}
-	return nil
-}
-
-// rowsFor returns the rows of a predicate for grounding. For solver tables
-// the symbolic tuples come first; materialized rows from previous solves
-// whose regular-attribute key does not collide with a symbolic tuple are
-// appended as ground rows. This implements the paper's distributed channel
-// selection (A.3), where the assign table holds both the variable of the
-// link under negotiation and the concrete assignments collected from
-// neighbors.
-func (g *grounder) rowsFor(pred string) ([]symTuple, error) {
-	tbl := g.n.tables[pred]
-	sts, isSym := g.sym[pred]
-	if !isSym {
-		if tbl == nil {
-			return nil, unknownPredErr(pred)
-		}
-		rows := tbl.snapshotStable()
-		out := make([]symTuple, len(rows))
-		for i, vals := range rows {
-			out[i] = g.lift(pred, vals)
-		}
-		return out, nil
-	}
-	if tbl == nil || tbl.size() == 0 {
-		return sts, nil
-	}
-	// Merge in materialized rows not shadowed by a symbolic tuple.
-	ti := g.n.prog.res.Tables[pred]
-	shadow := map[string]bool{}
-	for _, st := range sts {
-		if k, ok := symRegKey(ti, func(i int) (colog.Value, bool) {
-			if st[i].isSym() {
-				return colog.Value{}, false
-			}
-			return st[i].val, true
-		}); ok {
-			shadow[k] = true
-		}
-	}
-	out := append([]symTuple(nil), sts...)
-	for _, vals := range tbl.snapshotStable() {
-		k, _ := symRegKey(ti, func(i int) (colog.Value, bool) { return vals[i], true })
-		if shadow[k] {
-			continue
-		}
-		out = append(out, g.lift(pred, vals))
-	}
-	return out, nil
-}
-
-// lift turns a ground table row into a symbolic tuple; in recording mode
-// every cell carries its provenance for the incremental grounding cache.
-func (g *grounder) lift(pred string, vals []colog.Value) symTuple {
-	st := make(symTuple, len(vals))
-	if !g.recording {
-		for j, v := range vals {
-			st[j] = gval{val: v}
-		}
-		return st
-	}
-	key := valsKey(vals)
-	provs := make([]cellProv, len(vals))
-	for j, v := range vals {
-		provs[j] = cellProv{pred: pred, key: key, col: j}
-		st[j] = gval{val: v, prov: &provs[j]}
-	}
-	return st
 }
 
 // matchSymRow unifies compiled atom ops against a symbolic tuple.
@@ -1429,9 +1261,24 @@ func (g *grounder) computeGoal() (*solver.Expr, bool, error) {
 	if goal == nil || goal.Sense == colog.GoalSatisfy {
 		return nil, false, nil
 	}
-	rows, err := g.rowsFor(goal.Atom.Pred)
+	// Symbolic tuples first, then the unshadowed ground rows: the order a
+	// streamed join enumerates the predicate in.
+	pred := goal.Atom.Pred
+	if _, err := g.relSize(pred); err != nil {
+		return nil, false, everrf("goal", "%v", err)
+	}
+	ground, err := g.cachedGroundRows(pred)
 	if err != nil {
 		return nil, false, everrf("goal", "%v", err)
+	}
+	rows := make([]symTuple, 0, len(g.sym[pred])+len(ground))
+	rows = append(rows, g.sym[pred]...)
+	for _, vals := range ground {
+		st := make(symTuple, len(vals))
+		for j, v := range vals {
+			st[j] = gval{val: v}
+		}
+		rows = append(rows, st)
 	}
 	var objective *solver.Expr
 	found := false

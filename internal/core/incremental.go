@@ -49,7 +49,7 @@ var debugInc = os.Getenv("COLOGNE_DEBUG_INC") != ""
 // ---------------------------------------------------------- provenance
 
 // cellProv identifies one ground table cell: the predicate, the full-row
-// key at lift time, and the column.
+// key when the row was read, and the column.
 type cellProv struct {
 	pred string
 	key  string
@@ -355,11 +355,7 @@ func (n *Node) noteGroundDelta(tr delta) {
 // shared solve/materialize phase.
 func (n *Node) solveIncrementalLocked(opts SolveOptions) (*SolveResult, error) {
 	groundStart := time.Now()
-	stream, err := streamingGround(n.cfg.GroundMode)
-	if err != nil {
-		return nil, err
-	}
-	g := &grounder{n: n, recording: true, stream: stream}
+	g := &grounder{n: n, recording: true}
 	res := &SolveResult{}
 
 	info, err := n.groundForSolve(g)
@@ -583,7 +579,8 @@ func (n *Node) groundIncremental(g *grounder, st *groundState) (*GroundInfo, boo
 // effectiveDeltas filters a predicate's net changes down to those visible
 // to the grounder: for a var-declaration predicate, materialized rows whose
 // regular-attribute key is shadowed by a symbolic tuple never reach a rule
-// body (rowsFor merges only unshadowed rows), so changes to them are noise.
+// body (cachedGroundRows keeps only unshadowed rows), so changes to them
+// are noise.
 func (n *Node) effectiveDeltas(st *groundState, pred string, rows map[string]*netDelta) []*netDelta {
 	out := make([]*netDelta, 0, len(rows))
 	sym := st.varSym[pred]
@@ -595,18 +592,7 @@ func (n *Node) effectiveDeltas(st *groundState, pred string, rows map[string]*ne
 		return out
 	}
 	ti := n.prog.res.Tables[pred]
-	shadow := map[string]bool{}
-	for _, stpl := range sym {
-		k, ok := symRegKey(ti, func(i int) (colog.Value, bool) {
-			if stpl[i].isSym() {
-				return colog.Value{}, false
-			}
-			return stpl[i].val, true
-		})
-		if ok {
-			shadow[k] = true
-		}
-	}
+	shadow := symShadowKeys(ti, sym)
 	for _, nd := range rows {
 		k, _ := symRegKey(ti, func(i int) (colog.Value, bool) { return nd.vals[i], true })
 		if !shadow[k] {
@@ -616,8 +602,27 @@ func (n *Node) effectiveDeltas(st *groundState, pred string, rows map[string]*ne
 	return out
 }
 
+// symShadowKeys returns the regular-attribute keys of the symbolic tuples
+// that are ground at every regular attribute. A materialized row of the
+// same predicate with one of these keys is shadowed by the variable tuple:
+// grounding never reads it.
+func symShadowKeys(ti *analysis.TableInfo, sts []symTuple) map[string]bool {
+	shadow := map[string]bool{}
+	for _, st := range sts {
+		if k, ok := symRegKey(ti, func(i int) (colog.Value, bool) {
+			if st[i].isSym() {
+				return colog.Value{}, false
+			}
+			return st[i].val, true
+		}); ok {
+			shadow[k] = true
+		}
+	}
+	return shadow
+}
+
 // symRegKey builds the regular-attribute (non-solver-column) key used for
-// shadow tests, mirroring rowsFor's merge logic.
+// shadow tests.
 func symRegKey(ti *analysis.TableInfo, get func(i int) (colog.Value, bool)) (string, bool) {
 	k := ""
 	for i := 0; i < ti.Arity; i++ {

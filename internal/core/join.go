@@ -337,52 +337,6 @@ func (ix *tableIndex) probeBytes(key []byte) []idxRow {
 	return ix.m[string(key)]
 }
 
-// ------------------------------------------------------ symbolic indexing
-
-// symIndex is a transient hash index over the grounder's merged row set for
-// one predicate, keyed on a column subset. Rows holding a symbolic value at
-// an indexed column unify with any probe (posting equality constraints), so
-// they are kept aside and appended to every probe result.
-type symIndex struct {
-	cols []int
-	m    map[string][]symTuple
-	wild []symTuple
-}
-
-func buildSymIndex(rows []symTuple, cols []int) *symIndex {
-	ix := &symIndex{cols: cols, m: map[string][]symTuple{}}
-	var buf []byte
-	for _, st := range rows {
-		ground := true
-		for _, c := range cols {
-			if st[c].isSym() {
-				ground = false
-				break
-			}
-		}
-		if !ground {
-			ix.wild = append(ix.wild, st)
-			continue
-		}
-		buf = buf[:0]
-		for i, c := range cols {
-			if i > 0 {
-				buf = append(buf, '|')
-			}
-			buf = st[c].val.AppendKey(buf)
-		}
-		k := string(buf)
-		ix.m[k] = append(ix.m[k], st)
-	}
-	return ix
-}
-
-// probe returns the rows whose ground projection matches the key, plus the
-// rows that are symbolic on an indexed column.
-func (ix *symIndex) probe(key []byte) ([]symTuple, []symTuple) {
-	return ix.m[string(key)], ix.wild
-}
-
 // ------------------------------------------------------------- sym frame
 
 // symFrame is the grounder's slice-backed binding environment: gvals with
@@ -477,8 +431,6 @@ type gstep struct {
 	atom     *colog.Atom
 	ops      []argOp
 	probeOps []probeOp
-	idx      *symIndex
-	rows     []symTuple
 	cond     colog.Term // gFilter
 	slot     int        // gBind / gReify / gAssign target
 	rhs      colog.Term // gBind / gReify / gAssign right-hand side
@@ -487,15 +439,14 @@ type gstep struct {
 	// (executed by saving and restoring the previous value).
 	rebind bool
 
-	// Streaming-mode join fields (see stream.go). For a ground predicate,
-	// scan is the table's arrival-order snapshot and gidx the persistent
-	// index probed when the bound prefix is ground; for a solver predicate,
+	// Join row sources (see stream.go). For a ground predicate, scan is
+	// the table's arrival-order snapshot and gidx the persistent index
+	// probed when the bound prefix is ground; for a solver predicate,
 	// symRows/groundRows are the symbolic tuples and the unshadowed
 	// materialized rows. pre is the pushdown prefilter; provCache memoizes
 	// per-row provenance cells in recording mode. Snapshots and index
 	// pointers are captured at plan time — plans are built serially, so
 	// grounding workers read them without synchronization.
-	streamed   bool
 	scan       [][]colog.Value
 	gidx       *tableIndex
 	symRows    []symTuple
@@ -518,10 +469,7 @@ type groundPlan struct {
 // as their inputs are bound, atoms are scheduled most-bound-first with
 // smaller relations breaking ties, replacing the seed grounder's
 // first-unprocessed-atom pick. Index probes are attached for every join
-// with a bound prefix. Both grounding modes produce the same literal order
-// (streaming sizes relations without materializing them); they differ only
-// in each join's row source and in the pushdown prefilter compiled for
-// streamed ground rows.
+// with a bound prefix; relations are sized without materializing them.
 func (g *grounder) planGroundBody(ri int, seeded varSet) (*groundPlan, error) {
 	rule := g.n.prog.res.Program.Rules[ri]
 	label := ruleName(rule)
@@ -603,19 +551,9 @@ func (g *grounder) planGroundBody(ri int, seeded varSet) (*groundPlan, error) {
 				if pd.atom == nil {
 					continue
 				}
-				var sz int
-				if g.stream {
-					n, err := g.relSize(pd.atom.Pred)
-					if err != nil {
-						return nil, everrf(label, "%v", err)
-					}
-					sz = n
-				} else {
-					rows, err := g.cachedRows(pd.atom.Pred)
-					if err != nil {
-						return nil, everrf(label, "%v", err)
-					}
-					sz = len(rows)
+				sz, err := g.relSize(pd.atom.Pred)
+				if err != nil {
+					return nil, everrf(label, "%v", err)
 				}
 				bc := countBoundCols(pd.atom, bound)
 				if bc > bestBound || (bc == bestBound && sz < bestSize) {
@@ -654,46 +592,31 @@ func (g *grounder) planJoin(step *gstep, bound, maybe varSet) error {
 	// full scan.
 	_, isSym := g.sym[a.Pred]
 	var err error
-	if g.stream {
-		step.streamed = true
-		if isSym {
-			step.symRows = g.sym[a.Pred]
-			if step.groundRows, err = g.cachedGroundRows(a.Pred); err != nil {
-				return err
-			}
-		} else {
-			tbl := g.n.tables[a.Pred]
-			step.scan = tbl.snapshotStable()
-			if len(cols) > 0 {
-				if step.probeOps, err = compileProbeOps(a, cols, slots); err != nil {
-					return err
-				}
-				step.gidx = tbl.ensureIndex(cols)
-			}
-		}
-	} else {
-		if step.rows, err = g.cachedRows(a.Pred); err != nil {
+	if isSym {
+		step.symRows = g.sym[a.Pred]
+		if step.groundRows, err = g.cachedGroundRows(a.Pred); err != nil {
 			return err
 		}
-		if len(cols) > 0 && !isSym {
+	} else {
+		tbl := g.n.tables[a.Pred]
+		step.scan = tbl.snapshotStable()
+		if len(cols) > 0 {
 			if step.probeOps, err = compileProbeOps(a, cols, slots); err != nil {
 				return err
 			}
-			step.idx = g.cachedSymIndex(a.Pred, cols, step.rows)
+			step.gidx = tbl.ensureIndex(cols)
 		}
 	}
 	if step.ops, err = compileArgOps(a, bound); err != nil {
 		return err
 	}
-	if g.stream {
-		step.pre = compilePushdown(step.ops, func(slot int) bool { return maybe.in[slot] })
-		if isSym {
-			// Binds from a solver predicate can carry symbolic values into
-			// the frame.
-			for oi := range step.ops {
-				if step.ops[oi].kind == argBind {
-					maybe.in[step.ops[oi].slot] = true
-				}
+	step.pre = compilePushdown(step.ops, func(slot int) bool { return maybe.in[slot] })
+	if isSym {
+		// Binds from a solver predicate can carry symbolic values into the
+		// frame.
+		for oi := range step.ops {
+			if step.ops[oi].kind == argBind {
+				maybe.in[step.ops[oi].slot] = true
 			}
 		}
 	}

@@ -99,30 +99,6 @@ func TestCompiledPlanProbesIndex(t *testing.T) {
 	}
 }
 
-// TestSymIndexWildRows: rows with a symbolic value at an indexed column
-// must be returned for every probe (they unify by posting constraints).
-func TestSymIndexWildRows(t *testing.T) {
-	m := solver.NewModel()
-	v := m.IntVar("x", 0, 5)
-	rows := []symTuple{
-		{gval{val: sval("a")}, gval{val: ival(1)}},
-		{gval{val: sval("b")}, gval{val: ival(2)}},
-		{gval{sym: m.VarExpr(v)}, gval{val: ival(3)}},
-	}
-	ix := buildSymIndex(rows, []int{0})
-	keyed, wild := ix.probe([]byte("sa"))
-	if len(keyed) != 1 || keyed[0][1].val.I != 1 {
-		t.Fatalf("keyed = %v rows, want the sa row", len(keyed))
-	}
-	if len(wild) != 1 || !wild[0][0].isSym() {
-		t.Fatalf("wild = %v rows, want the symbolic row", len(wild))
-	}
-	keyed, _ = ix.probe([]byte("smissing"))
-	if len(keyed) != 0 {
-		t.Fatalf("probe of absent key returned %d rows", len(keyed))
-	}
-}
-
 // ---------------------------------------------------------- literal order
 
 // TestGroundPlanOrdersMostBoundFirst: with nothing bound, the planner must

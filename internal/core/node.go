@@ -54,17 +54,6 @@ type Config struct {
 	// negative value) forces serial grounding. Results are merged in rule
 	// order, so the outcome is identical at any setting.
 	GroundWorkers int
-	// GroundMode selects the grounder's join evaluation strategy. "" or
-	// "streaming" (the default) pipelines joins directly over the tables'
-	// arrival-ordered scans and persistent indexes, with compares pushed
-	// down into the row source — no merged row sets or transient per-solve
-	// indexes are materialized (see stream.go). "materialized" is the escape
-	// hatch that restores the seed behavior: per-predicate merged symbolic
-	// row sets and transient hash indexes rebuilt each solve. Both modes
-	// produce byte-identical tables, objectives, and solver search traces
-	// (TestStreamingGroundEquivalence); they differ only in allocation and
-	// speed. Any other value makes Solve return an error.
-	GroundMode string
 	// SolverIncremental enables incremental re-grounding: the node keeps the
 	// grounded solver model between solves and, on the next solve, re-grounds
 	// only the rule instantiations affected by the tuples that changed,

@@ -230,9 +230,6 @@ func eventSet(events []string) map[string]bool {
 
 // newNode builds and registers an instance without loading program facts.
 func (p *Program) newNode(addr string, cfg Config, tr transport.Transport) (*Node, error) {
-	if _, err := streamingGround(cfg.GroundMode); err != nil {
-		return nil, err
-	}
 	if err := p.checkConfig(cfg); err != nil {
 		return nil, fmt.Errorf("core: node %s: %w", addr, err)
 	}

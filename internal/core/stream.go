@@ -2,44 +2,41 @@ package core
 
 // Streaming grounding pipeline with predicate pushdown.
 //
-// The seed grounder materialized, per solve, a merged symTuple row set for
-// every predicate a rule body reads (rowsFor/cachedRows) plus a transient
-// hash index over it per probed column set (cachedSymIndex): for the common
-// case — a pure ground table with no symbolic tuples — that meant lifting
-// every row into freshly allocated symTuples (and, when recording, a
-// provenance cell per column) before a single join ran, only for most rows
-// to be discarded by a compare.
+// A join over a ground predicate consumes the table directly: either the
+// persistent arrival-ordered tableIndex (shared with the delta pipeline,
+// pre-sized from the table count) or the memoized snapshotStable scan, both
+// captured on the plan step while plans are built serially — so grounding
+// workers then read them without synchronization. Rows flow through a
+// pushdown prefilter (rowCmp) evaluated on the raw []colog.Value before any
+// binding-frame extension, and only surviving rows are matched op-by-op
+// (matchGroundRow), binding cells by value into the frame — no symTuple is
+// allocated per row. Solver predicates stream their symbolic tuples first
+// and their unshadowed materialized rows second.
 //
-// In streaming mode (Config.GroundMode, on by default) those intermediates
-// disappear. A join over a ground predicate consumes the table directly:
-// either the persistent arrival-ordered tableIndex (shared with the delta
-// pipeline, pre-sized from the table count) or the memoized snapshotStable
-// scan, both captured on the plan step while plans are built serially — so
-// grounding workers then read them without synchronization. Rows flow
-// through a pushdown prefilter (rowCmp) evaluated on the raw []colog.Value
-// before any binding-frame extension, and only surviving rows are matched
-// op-by-op (matchGroundRow), binding cells by value into the frame — no
-// symTuple is ever allocated. Solver predicates stream their symbolic
-// tuples first and their unshadowed materialized rows second, exactly the
-// order the merged row set would have held them.
-//
-// Emission order and posted-constraint order are byte-identical to
-// materialized grounding by construction:
+// Emission order is part of the contract. The order rows reach a rule body
+// fixes the order derivations are emitted and constraints are posted, and
+// so the grounded model: incremental re-grounding splices cached rule runs
+// into the same positions a fresh grounding would fill, and recovery and
+// cluster replays must rebuild the same model. The pipeline preserves it:
 //
 //   - scans enumerate snapshotStable order, index buckets are seq-ordered
-//     (see index.go), and symbolic tuples precede ground rows — the same
-//     total order rowsFor produced;
+//     (see index.go), and symbolic tuples precede ground rows;
 //   - the prefilter only hoists compares that appear before the first op
 //     that could post a constraint (an equality check against a
 //     possibly-symbolic frame slot) or raise an error (an expression
 //     argument), so a row the prefilter rejects is exactly a row the full
 //     match would have rejected before any side effect;
 //   - matchGroundRow runs the full op list in original order afterwards,
-//     so surviving rows behave identically to a lifted matchSymRow.
+//     so surviving rows behave identically to matchSymRow over the same
+//     values.
 //
-// TestStreamingGroundEquivalence pins the equivalence under churn; the
-// incremental/cluster/recovery gates pin the resulting derivation arrival
-// order and solver-node traces.
+// A row enumerated out of order need not change the solve outcome — a
+// reordered sum often solves to the same assignments in the same number of
+// search nodes — but it changes the grounded model text.
+// TestStreamingGroundEquivalence compares a digest of that text, with the
+// solve outcome and tables, against the reference recorded in
+// testdata/ground_equiv.golden; the incremental/cluster/recovery gates pin
+// the resulting derivation arrival order and solver-node traces.
 
 import (
 	"repro/internal/colog"
@@ -201,8 +198,7 @@ func termMaybeSym(t colog.Term, maybe varSet) bool {
 // relSize returns the number of rows a join over the predicate enumerates,
 // without materializing them: the table count for ground predicates, the
 // symbolic tuples plus unshadowed materialized rows for solver predicates.
-// It reproduces len(rowsFor(pred)) exactly, so streaming and materialized
-// planning order joins identically.
+// The planner orders joins by it; a predicate with no table is an error.
 func (g *grounder) relSize(pred string) (int, error) {
 	sts, isSym := g.sym[pred]
 	tbl := g.n.tables[pred]
@@ -223,9 +219,12 @@ func (g *grounder) relSize(pred string) (int, error) {
 }
 
 // cachedGroundRows returns a solver predicate's materialized rows that are
-// not shadowed by a symbolic tuple, in snapshotStable order — the ground
-// tail of the merged row set, without lifting. Cached until the predicate's
-// symbolic tuples change (invalidatePred).
+// not shadowed by a symbolic tuple, in snapshotStable order: the rows a
+// join enumerates after the symbolic tuples. This implements the paper's
+// distributed channel selection (A.3), where the assign table holds both
+// the variable of the link under negotiation and the concrete assignments
+// collected from neighbors. Cached until the predicate's symbolic tuples
+// change (invalidatePred).
 func (g *grounder) cachedGroundRows(pred string) ([][]colog.Value, error) {
 	if rows, ok := g.groundRowsCache[pred]; ok {
 		return rows, nil
@@ -235,17 +234,7 @@ func (g *grounder) cachedGroundRows(pred string) ([][]colog.Value, error) {
 	var out [][]colog.Value
 	if tbl != nil && tbl.size() > 0 {
 		ti := g.n.prog.res.Tables[pred]
-		shadow := map[string]bool{}
-		for _, st := range sts {
-			if k, ok := symRegKey(ti, func(i int) (colog.Value, bool) {
-				if st[i].isSym() {
-					return colog.Value{}, false
-				}
-				return st[i].val, true
-			}); ok {
-				shadow[k] = true
-			}
-		}
+		shadow := symShadowKeys(ti, sts)
 		for _, vals := range tbl.snapshotStable() {
 			k, _ := symRegKey(ti, func(i int) (colog.Value, bool) { return vals[i], true })
 			if shadow[k] {
@@ -263,9 +252,8 @@ func (g *grounder) cachedGroundRows(pred string) ([][]colog.Value, error) {
 
 // provFor returns the provenance cells for one raw row of the step's join
 // predicate, memoized per step so repeated probes of the same row reuse one
-// allocation. The key is the full-row valsKey — the same key the lift path
-// and the incremental patcher use, so refs recorded through streaming
-// grounding are found by patchRun.
+// allocation. The key is the full-row valsKey — the key the incremental
+// patcher uses, so refs recorded during grounding are found by patchRun.
 func (st *gstep) provFor(pred string, vals []colog.Value) []cellProv {
 	st.provKeyBuf = appendValsKey(st.provKeyBuf[:0], vals)
 	if provs, ok := st.provCache[string(st.provKeyBuf)]; ok {
@@ -312,7 +300,7 @@ func (g *grounder) streamJoin(run *groundRun, p *groundPlan, idx int, sink func(
 		return nil
 	}
 	// Solver predicate: symbolic tuples first, then the unshadowed
-	// materialized rows — the merged row set's order, streamed.
+	// materialized rows.
 	for _, st := range step.symRows {
 		m := f.mark()
 		ok, err := g.matchSymRow(run, step.ops, st, p.label)
@@ -356,13 +344,12 @@ func (g *grounder) streamGroundRow(run *groundRun, p *groundPlan, idx int, vals 
 	return nil
 }
 
-// matchGroundRow is matchSymRow specialized to a raw (unlifted) table row:
-// cells bind by value into the frame, and provenance is attached only when
-// recording — one memoized cellProv array per row instead of a lift per
-// row per predicate. Semantics are identical: an equality check whose
-// frame side is symbolic posts an equality constraint with the cell lifted
-// to a constant, and constraints posted before a later argument fails are
-// kept.
+// matchGroundRow is matchSymRow specialized to a raw table row: cells bind
+// by value into the frame, and provenance is attached only when recording —
+// one memoized cellProv array per row. Semantics are identical: an equality
+// check whose frame side is symbolic posts an equality constraint with the
+// cell lifted to a constant, and constraints posted before a later argument
+// fails are kept.
 func (g *grounder) matchGroundRow(run *groundRun, step *gstep, vals []colog.Value, label string) (bool, error) {
 	ops := step.ops
 	if len(ops) != len(vals) {

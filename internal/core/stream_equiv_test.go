@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -14,11 +17,20 @@ import (
 	"repro/internal/store"
 )
 
-// buildGroundModeNode parses a corpus program and builds one node with the
-// given grounding mode, incremental setting, and storage backend (nil for
-// the default in-memory one). The program and config are returned too so a
-// caller can rebuild the node later (the disk lane replays its log).
-func buildGroundModeNode(t *testing.T, name, mode string, incremental bool, st store.Store) (*core.Node, *analysis.Result, core.Config) {
+// groundGolden records, for every corpus program and churn step of
+// TestStreamingGroundEquivalence, the solve outcome, a digest of the table
+// contents and a digest of the grounded model text. It was recorded from
+// the materialized grounder (the original join path, which built merged
+// row sets per solve), and every streaming lane matched it on every step
+// before that path was removed. A deliberate change to emission order
+// replaces the affected lines with the "got" lines the test prints.
+const groundGolden = "testdata/ground_equiv.golden"
+
+// buildCorpusNode parses a corpus program and builds one node with the
+// given incremental setting and storage backend (nil for the default
+// in-memory one). The program and config are returned too so a caller can
+// rebuild the node later (the disk lane replays its log).
+func buildCorpusNode(t *testing.T, name string, incremental bool, st store.Store) (*core.Node, *analysis.Result, core.Config) {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join(corpusDir, name))
 	if err != nil {
@@ -35,7 +47,6 @@ func buildGroundModeNode(t *testing.T, name, mode string, incremental bool, st s
 	cfg := core.Config{
 		SolverPropagate:   true,
 		Keys:              corpusKeys[name],
-		GroundMode:        mode,
 		SolverIncremental: incremental,
 		Storage:           st,
 	}
@@ -46,28 +57,82 @@ func buildGroundModeNode(t *testing.T, name, mode string, incremental bool, st s
 	return node, res, cfg
 }
 
+// goldenLine renders one churn step's record in the groundGolden format:
+// status, objective, model size, search nodes and assignments verbatim,
+// then sha256 digests of the node's tables (sorted rows of every table, by
+// name) and of the grounded model text.
+func goldenLine(prog string, step int, r *core.SolveResult, n *core.Node, model string) string {
+	assigns := make([]string, len(r.Assignments))
+	for i, a := range r.Assignments {
+		vals := make([]string, len(a.Vals))
+		for j, v := range a.Vals {
+			vals[j] = v.String()
+		}
+		assigns[i] = a.Pred + "(" + strings.Join(vals, ",") + ")"
+	}
+	tables := sha256.New()
+	names := n.TableNames()
+	sort.Strings(names)
+	for _, pred := range names {
+		fmt.Fprintf(tables, "%s\n", pred)
+		for _, row := range n.Rows(pred) {
+			for _, v := range row {
+				fmt.Fprintf(tables, "%s|", v.Key())
+			}
+			fmt.Fprintf(tables, "\n")
+		}
+	}
+	return fmt.Sprintf("%s step=%d status=%s obj=%s vars=%d cons=%d nodes=%d assign=%s tables=%x model=%x",
+		prog, step, r.Status, strconv.FormatFloat(r.Objective, 'g', -1, 64),
+		r.NumVars, r.NumCons, r.Stats.Nodes, strings.Join(assigns, ";"),
+		tables.Sum(nil), sha256.Sum256([]byte(model)))
+}
+
+// readGolden loads groundGolden keyed by "<program> step=<n>".
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(groundGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) < 2 {
+			t.Fatalf("%s: malformed line %q", groundGolden, line)
+		}
+		golden[f[0]+" "+f[1]] = line
+	}
+	return golden
+}
+
 // TestStreamingGroundEquivalence drives random insert/delete/update churn
-// scripts over every corpus program through three nodes in lockstep — a
-// materialized-grounding node (the pre-streaming escape hatch), a streaming
-// node, and a streaming node with incremental re-grounding on top — solving
-// after every step and requiring bit-identical solve results (status,
-// objective, model size, search-trace length, assignments) and identical
-// table contents throughout. This is the pushdown-correctness gate: any
-// join reordered, any compare hoisted past a constraint-posting op, or any
-// row enumerated out of arrival order diverges the solver trace.
+// scripts over every corpus program through three nodes in lockstep — an
+// incremental re-grounding node, a fresh-grounding node, and a fresh node
+// on the disk store — solving after every step. The lanes must agree with
+// each other (status, objective, model size, search-trace length,
+// assignments, table contents), and the first lane must reproduce the
+// recorded reference in groundGolden, including the digest of its grounded
+// model text. This is the pushdown-correctness gate: any join reordered,
+// any compare hoisted past a constraint-posting op, or any row enumerated
+// out of arrival order changes the model text even where the solve outcome
+// happens to survive.
 func TestStreamingGroundEquivalence(t *testing.T) {
 	entries, err := os.ReadDir(corpusDir)
 	if err != nil {
 		t.Fatalf("corpus dir: %v", err)
 	}
+	golden := readGolden(t)
 	for _, ent := range entries {
 		if filepath.Ext(ent.Name()) != ".colog" {
 			continue
 		}
 		t.Run(ent.Name(), func(t *testing.T) {
-			mat, _, _ := buildGroundModeNode(t, ent.Name(), "materialized", false, nil)
-			str, _, _ := buildGroundModeNode(t, ent.Name(), "streaming", false, nil)
-			strInc, _, _ := buildGroundModeNode(t, ent.Name(), "streaming", true, nil)
+			inc, _, _ := buildCorpusNode(t, ent.Name(), true, nil)
+			fresh, _, _ := buildCorpusNode(t, ent.Name(), false, nil)
 			// The storage dimension: the same churn through a disk-backed
 			// node must stay bit-identical to the in-memory lanes — the
 			// ordered key encoding preserves arrival-order seqs, so join
@@ -77,15 +142,16 @@ func TestStreamingGroundEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer diskStore.Close()
-			strDisk, diskRes, diskCfg := buildGroundModeNode(t, ent.Name(), "streaming", false, diskStore)
-			nodes := []*core.Node{mat, str, strInc, strDisk}
-			labels := []string{"materialized", "streaming", "streaming+incremental", "streaming+disk"}
+			disk, diskRes, diskCfg := buildCorpusNode(t, ent.Name(), false, diskStore)
+			nodes := []*core.Node{inc, fresh, disk}
+			labels := []string{"incremental", "fresh", "disk"}
+			checked := 0
 
 			rng := rand.New(rand.NewSource(int64(len(ent.Name()))*6133 + 17))
 			keys := corpusKeys[ent.Name()]
 
 			factPreds := map[string]bool{}
-			for _, f := range mat.Program().Program.Facts {
+			for _, f := range inc.Program().Program.Facts {
 				factPreds[f.Atom.Pred] = true
 			}
 			var preds []string
@@ -105,7 +171,7 @@ func TestStreamingGroundEquivalence(t *testing.T) {
 
 			for step := 0; step < 40; step++ {
 				pred := preds[rng.Intn(len(preds))]
-				rows := mat.Rows(pred)
+				rows := inc.Rows(pred)
 				keyCols := map[int]bool{}
 				for _, c := range keys[pred] {
 					keyCols[c] = true
@@ -162,10 +228,26 @@ func TestStreamingGroundEquivalence(t *testing.T) {
 					}
 					results[i] = r
 				}
+				got := goldenLine(ent.Name(), step, results[0], nodes[0], core.GroundedModelText(nodes[0]))
+				key := fmt.Sprintf("%s step=%d", ent.Name(), step)
+				if want := golden[key]; got != want {
+					t.Fatalf("step %d: %s lane differs from %s:\n got %s\nwant %s", step, labels[0], groundGolden, got, want)
+				}
+				checked++
 				for i := 1; i < len(nodes); i++ {
 					compareSolves(t, step, results[0], results[i])
 					compareNodes(t, step, nodes[0], nodes[i])
 				}
+			}
+
+			recorded := 0
+			for key := range golden {
+				if strings.HasPrefix(key, ent.Name()+" ") {
+					recorded++
+				}
+			}
+			if checked != recorded {
+				t.Fatalf("checked %d churn steps, %s records %d", checked, groundGolden, recorded)
 			}
 
 			// Replay gate: rebuild the disk node purely from its write-ahead
@@ -173,9 +255,9 @@ func TestStreamingGroundEquivalence(t *testing.T) {
 			// (Rows iterates in arrival order). The snapshot comes first —
 			// replay reuses the same backend, clearing the live tables.
 			snap := map[string][][]colog.Value{}
-			names := strDisk.TableNames()
+			names := disk.TableNames()
 			for _, pred := range names {
-				snap[pred] = strDisk.Rows(pred)
+				snap[pred] = disk.Rows(pred)
 			}
 			replayed, err := core.ReplayNode("local", diskRes, diskCfg, nil)
 			if err != nil {
