@@ -139,6 +139,9 @@ sharded-10k:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
+# The first gate below is the solver property test: random solves vs brute
+# force and vs the search traces recorded from the deleted legacy core in
+# internal/solver/testdata/engine_trace.golden.
 ci: lint build test docs-check bench-smoke-repo
 	$(GO) test -count=1 -run 'TestEnginesMatchBruteForce|TestEventEngineTraceMatchesLegacy' ./internal/solver
 	$(GO) test -count=1 -run 'TestIncrementalGroundEquivalence' ./internal/core

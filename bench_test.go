@@ -404,60 +404,23 @@ func BenchmarkAblationLinearPropagation(b *testing.B) {
 		m.Minimize(m.StdDev(loads...))
 		return m
 	}
-	for _, eng := range []solver.Engine{solver.EngineEvent, solver.EngineLegacy} {
-		for _, variant := range []struct {
-			name    string
-			disable bool
-		}{{"with-linear", false}, {"without-linear", true}} {
-			eng, variant := eng, variant
-			b.Run(eng.String()+"/"+variant.name, func(b *testing.B) {
-				var nodes int64
-				for i := 0; i < b.N; i++ {
-					sol := build().Solve(solver.Options{
-						Engine: eng, DisableLinear: variant.disable, MaxNodes: 200000,
-					})
-					nodes = sol.Stats.Nodes
-				}
-				b.ReportMetric(float64(nodes), "search-nodes")
-			})
-		}
-	}
-}
-
-// BenchmarkAblationEventEngine isolates the propagation engine against the
-// legacy core on one grounded ACloud COP (same model, same node budget, same
-// resulting trace): the difference is pure per-node propagation cost.
-func BenchmarkAblationEventEngine(b *testing.B) {
-	for _, engine := range []string{"event", "legacy"} {
-		engine := engine
-		b.Run(engine, func(b *testing.B) {
-			e := programs.ACloud(false, 0)
-			cfg := e.Config
-			cfg.SolverMaxNodes = 600
-			cfg.SolverPropagate = true
-			cfg.SolverEngine = engine
-			node, err := core.NewNode("bench", e.Analyze(), cfg, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for h := 0; h < 4; h++ {
-				node.Insert("host", colog.StringVal(fmt.Sprintf("h%d", h)), colog.IntVal(0), colog.IntVal(0))
-				node.Insert("hostMemThres", colog.StringVal(fmt.Sprintf("h%d", h)), colog.IntVal(1<<20))
-			}
-			for v := 0; v < 48; v++ {
-				node.Insert("vmRaw", colog.StringVal(fmt.Sprintf("vm%d", v)),
-					colog.IntVal(int64(25+v%60)), colog.IntVal(512))
-			}
-			b.ResetTimer()
-			var res *core.SolveResult
+	// The with-linear variant attaches a propagator to every linear
+	// constraint: the 3-term rows fall below the default attachment
+	// threshold, so without LinearMinTerms: 1 it would measure nothing.
+	for _, variant := range []struct {
+		name string
+		opts solver.Options
+	}{
+		{"with-linear", solver.Options{LinearMinTerms: 1, MaxNodes: 200000}},
+		{"without-linear", solver.Options{DisableLinear: true, MaxNodes: 200000}},
+	} {
+		variant := variant
+		b.Run(variant.name, func(b *testing.B) {
+			var nodes int64
 			for i := 0; i < b.N; i++ {
-				res, err = node.Solve(core.SolveOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
+				nodes = build().Solve(variant.opts).Stats.Nodes
 			}
-			b.ReportMetric(float64(res.Stats.Nodes), "search-nodes")
-			b.ReportMetric(res.Objective, "objective")
+			b.ReportMetric(float64(nodes), "search-nodes")
 		})
 	}
 }
@@ -466,12 +429,11 @@ func BenchmarkAblationEventEngine(b *testing.B) {
 // ACloud COP (DESIGN.md design choice: anytime B&B from the current
 // placement).
 func BenchmarkAblationWarmStart(b *testing.B) {
-	setup := func(engine string) *core.Node {
+	setup := func() *core.Node {
 		e := programs.ACloud(false, 0)
 		cfg := e.Config
 		cfg.SolverMaxNodes = 3000
 		cfg.SolverPropagate = true
-		cfg.SolverEngine = engine
 		node, err := core.NewNode("bench", e.Analyze(), cfg, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -493,25 +455,23 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 		}
 		return 0, true
 	}
-	for _, engine := range []string{"event", "legacy"} {
-		for _, variant := range []struct {
-			name string
-			hint func(string, []colog.Value) (int64, bool)
-		}{{"with-hint", lptHint}, {"without-hint", nil}} {
-			engine, variant := engine, variant
-			b.Run(engine+"/"+variant.name, func(b *testing.B) {
-				node := setup(engine)
-				var obj float64
-				for i := 0; i < b.N; i++ {
-					res, err := node.Solve(core.SolveOptions{Hint: variant.hint})
-					if err != nil {
-						b.Fatal(err)
-					}
-					obj = res.Objective
+	for _, variant := range []struct {
+		name string
+		hint func(string, []colog.Value) (int64, bool)
+	}{{"with-hint", lptHint}, {"without-hint", nil}} {
+		variant := variant
+		b.Run(variant.name, func(b *testing.B) {
+			node := setup()
+			var obj float64
+			for i := 0; i < b.N; i++ {
+				res, err := node.Solve(core.SolveOptions{Hint: variant.hint})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(obj, "objective")
-			})
-		}
+				obj = res.Objective
+			}
+			b.ReportMetric(obj, "objective")
+		})
 	}
 }
 

@@ -41,7 +41,6 @@ type cliOptions struct {
 	maxTime      *time.Duration
 	maxNodes     *int64
 	restarts     *int
-	engine       *string
 	fixpoint     *bool
 	incr         *bool
 	warm         *bool
@@ -72,8 +71,6 @@ func registerFlags(fs *flag.FlagSet) *cliOptions {
 		maxNodes: fs.Int64("solver-max-nodes", 0, "search node budget per COP execution (0 = unlimited)"),
 		restarts: fs.Int("solver-restarts", 0,
 			"restart the search N times with geometrically growing node limits;\nsaved phases feed later runs' warm-start hints (0 = no restarts)"),
-		engine: fs.String("solver-engine", "event",
-			"search core: 'event' (event-driven propagation engine) or 'legacy'\n(seed forward-checking core; same results, for ablations)"),
 		fixpoint: fs.Bool("solver-fixpoint", false,
 			"drain the propagator queue to fixpoint after each assignment\n(stronger pruning; same optima, fewer search nodes)"),
 		incr: fs.Bool("solver-incremental", false,
@@ -118,9 +115,6 @@ func registerFlags(fs *flag.FlagSet) *cliOptions {
 
 // config validates the solver flags and assembles the node configuration.
 func (o *cliOptions) config() (core.Config, error) {
-	if *o.engine != "event" && *o.engine != "legacy" {
-		return core.Config{}, fmt.Errorf("unknown -solver-engine %q (want event or legacy)", *o.engine)
-	}
 	if m := *o.clusterMode; m != "off" && m != "sim" && m != "udp" {
 		return core.Config{}, fmt.Errorf("unknown -cluster-mode %q (want off, sim, or udp)", m)
 	}
@@ -146,7 +140,6 @@ func (o *cliOptions) config() (core.Config, error) {
 		SolverMaxTime:     *o.maxTime,
 		SolverMaxNodes:    *o.maxNodes,
 		SolverPropagate:   true,
-		SolverEngine:      *o.engine,
 		SolverFixpoint:    *o.fixpoint,
 		SolverRestarts:    *o.restarts,
 		SolverIncremental: *o.incr,

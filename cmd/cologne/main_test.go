@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"net"
 	"testing"
 
@@ -39,13 +40,13 @@ func TestParamFlagsRejectsMalformed(t *testing.T) {
 }
 
 // TestSolverFlagsDocumented pins the solver flags the CLI must expose and
-// document in -help: budgets and the restart/engine knobs.
+// document in -help: budgets and the restart/fixpoint knobs.
 func TestSolverFlagsDocumented(t *testing.T) {
 	fs := flag.NewFlagSet("cologne", flag.ContinueOnError)
 	registerFlags(fs)
 	for _, name := range []string{
 		"solver-max-time", "solver-max-nodes", "solver-restarts",
-		"solver-engine", "solver-fixpoint",
+		"solver-fixpoint",
 	} {
 		f := fs.Lookup(name)
 		if f == nil {
@@ -110,27 +111,26 @@ data("a",1).
 	}
 }
 
-// TestSolverEngineFlagValues checks the engine flag round-trips to a Config.
-func TestSolverEngineFlagValues(t *testing.T) {
+// TestSolverSearchFlagValues checks the search flags round-trip to a
+// Config, and that the removed -solver-engine flag is a usage error.
+func TestSolverSearchFlagValues(t *testing.T) {
 	fs := flag.NewFlagSet("cologne", flag.ContinueOnError)
 	opts := registerFlags(fs)
-	if err := fs.Parse([]string{"-solver-engine", "legacy", "-solver-restarts", "2", "-solver-max-nodes", "99"}); err != nil {
+	if err := fs.Parse([]string{"-solver-restarts", "2", "-solver-max-nodes", "99"}); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := opts.config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.SolverEngine != "legacy" || cfg.SolverRestarts != 2 || cfg.SolverMaxNodes != 99 {
+	if cfg.SolverRestarts != 2 || cfg.SolverMaxNodes != 99 {
 		t.Fatalf("config = %+v", cfg)
 	}
 	fs2 := flag.NewFlagSet("cologne", flag.ContinueOnError)
-	opts2 := registerFlags(fs2)
-	if err := fs2.Parse([]string{"-solver-engine", "warp"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := opts2.config(); err == nil {
-		t.Fatal("unknown engine accepted")
+	fs2.SetOutput(io.Discard)
+	registerFlags(fs2)
+	if err := fs2.Parse([]string{"-solver-engine", "legacy"}); err == nil {
+		t.Fatal("-solver-engine accepted")
 	}
 }
 

@@ -68,10 +68,8 @@ type Params struct {
 
 	SolverMaxNodes int64
 	SolverMaxTime  time.Duration
-	// SolverEngine/SolverFixpoint/SolverRestarts select and tune the search
-	// core per Config (see core.Config); zero values keep the default
-	// event-driven propagation engine.
-	SolverEngine   string
+	// SolverFixpoint/SolverRestarts tune the search per Config (see
+	// core.Config); zero values keep the default single-pass schedule.
 	SolverFixpoint bool
 	SolverRestarts int
 	// SolverIncremental enables incremental re-grounding with solver-model
@@ -360,7 +358,6 @@ func (c *cluster) nodeConfig(entry programs.Entry) core.Config {
 	cfg.SolverMaxNodes = c.p.SolverMaxNodes
 	cfg.SolverMaxTime = c.p.SolverMaxTime
 	cfg.SolverPropagate = true
-	cfg.SolverEngine = c.p.SolverEngine
 	cfg.SolverFixpoint = c.p.SolverFixpoint
 	cfg.SolverRestarts = c.p.SolverRestarts
 	cfg.SolverIncremental = c.p.SolverIncremental

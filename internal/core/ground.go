@@ -93,20 +93,6 @@ func unknownPredErr(pred string) error {
 	return fmt.Errorf("unknown predicate %s", pred)
 }
 
-// solverEngine maps the Config.SolverEngine string to the solver's engine
-// selector. Unknown names are an error: silently falling back would let a
-// typo'd ablation config benchmark the default engine against itself.
-func solverEngine(name string) (solver.Engine, error) {
-	switch name {
-	case "", "event":
-		return solver.EngineEvent, nil
-	case "legacy":
-		return solver.EngineLegacy, nil
-	default:
-		return 0, fmt.Errorf("core: unknown SolverEngine %q (want \"event\" or \"legacy\")", name)
-	}
-}
-
 // SolveOptions tune one COP execution.
 type SolveOptions struct {
 	// MaxTime overrides Config.SolverMaxTime when positive.
@@ -251,21 +237,16 @@ func (n *Node) solveLocked(opts SolveOptions) (*SolveResult, error) {
 // result: the phase shared by the fresh and incremental grounding paths.
 func (n *Node) finishSolve(g *grounder, opts SolveOptions, res *SolveResult) (*SolveResult, error) {
 	// Classify the grounded constraints into propagator shapes while still
-	// in the grounding phase: the solver consumes the classification (both
-	// engines share the linear extraction), and repeated solves reuse it.
+	// in the grounding phase: the solver consumes the classification (its
+	// linear propagators are built from it), and repeated solves reuse it.
 	g.model.Prepare()
 	res.Shapes = g.model.ShapeStats()
 
-	engine, err := solverEngine(n.cfg.SolverEngine)
-	if err != nil {
-		return nil, err
-	}
 	sopts := solver.Options{
 		MaxTime:       n.cfg.SolverMaxTime,
 		MaxNodes:      n.cfg.SolverMaxNodes,
 		Propagate:     n.cfg.SolverPropagate,
 		FirstSolution: opts.FirstSolution,
-		Engine:        engine,
 		Fixpoint:      n.cfg.SolverFixpoint,
 		Restarts:      n.cfg.SolverRestarts,
 		PhaseSaving:   n.cfg.SolverRestarts > 0,

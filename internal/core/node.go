@@ -34,16 +34,10 @@ type Config struct {
 	SolverMaxNodes int64
 	// SolverPropagate enables forward-checking propagation in the solver.
 	SolverPropagate bool
-	// SolverEngine selects the search core: "" or "event" is the
-	// event-driven propagation engine, "legacy" the seed forward-checking
-	// core. Both take identical pruning decisions by default, so results
-	// match; "legacy" exists for ablations and equivalence tests. Any
-	// other value makes Solve return an error.
-	SolverEngine string
 	// SolverFixpoint drains the propagator queue to fixpoint after every
-	// assignment (event engine only): strictly stronger pruning, same
-	// optima, fewer nodes — so under a binding node budget the incumbent
-	// may differ from the default schedule's.
+	// assignment: strictly stronger pruning, same optima, fewer nodes — so
+	// under a binding node budget the incumbent may differ from the default
+	// schedule's.
 	SolverFixpoint bool
 	// SolverRestarts, when positive, runs each COP as a restart sequence
 	// with geometrically growing node limits; saved phases feed the

@@ -40,10 +40,8 @@ type Params struct {
 	MaxMigrates    int64 // per-link migration cap (policy d11/c3); 0 = uncapped
 	SolverMaxNodes int64
 	SolverMaxTime  time.Duration
-	// SolverEngine/SolverFixpoint/SolverRestarts select and tune the search
-	// core per Config (see core.Config); zero values keep the default
-	// event-driven propagation engine.
-	SolverEngine   string
+	// SolverFixpoint/SolverRestarts tune the search per Config (see
+	// core.Config); zero values keep the default single-pass schedule.
 	SolverFixpoint bool
 	SolverRestarts int
 	// SolverIncremental enables incremental re-grounding with solver-model
@@ -333,7 +331,6 @@ func (r *runner) setup() error {
 		cfg.SolverMaxNodes = r.p.SolverMaxNodes
 		cfg.SolverMaxTime = r.p.SolverMaxTime
 		cfg.SolverPropagate = true
-		cfg.SolverEngine = r.p.SolverEngine
 		cfg.SolverFixpoint = r.p.SolverFixpoint
 		cfg.SolverRestarts = r.p.SolverRestarts
 		cfg.SolverIncremental = p.SolverIncremental

@@ -1,6 +1,9 @@
 package policies
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"strconv"
 	"testing"
 
 	"repro/internal/colog"
@@ -207,43 +210,37 @@ func TestPoliciesAnalyzeCleanly(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalence solves the placement policy under both search cores
-// and requires identical status, objective, and materialized assignments.
+// placementTrace fingerprints the placement solve of TestEngineEquivalence:
+// status, objective, node and failure counts and a sha256 of the
+// materialized assignments. It was recorded from the legacy forward-checking
+// search core before that core was deleted; the event engine matched it at
+// that point.
+const placementTrace = "status=optimal obj=6 nodes=356 failures=148 assign=0f4ed98138e6158df4855a75e70de659b98a5a2fa517d7fd95b11f86f67e2915"
+
+// TestEngineEquivalence solves the placement policy and requires the status,
+// objective, search trace and assignments recorded in placementTrace.
 func TestEngineEquivalence(t *testing.T) {
-	solve := func(engine string) *core.SolveResult {
-		n, err := NewNode(PlacementSrc, core.Config{SolverPropagate: true, SolverEngine: engine})
-		must(t, err)
-		racks := []string{"r1", "r2", "r3"}
-		for i, rack := range racks {
-			for j := 0; j < 2; j++ {
-				must(t, n.Insert("node", sval(rack+"n"+string(rune('a'+j))), sval(rack), ival(int64(1+i))))
-			}
+	n, err := NewNode(PlacementSrc, core.Config{SolverPropagate: true})
+	must(t, err)
+	racks := []string{"r1", "r2", "r3"}
+	for i, rack := range racks {
+		for j := 0; j < 2; j++ {
+			must(t, n.Insert("node", sval(rack+"n"+string(rune('a'+j))), sval(rack), ival(int64(1+i))))
 		}
-		for _, o := range []string{"o1", "o2"} {
-			must(t, n.Insert("object", sval(o), ival(2)))
-		}
-		res, err := n.Solve(core.SolveOptions{})
-		must(t, err)
-		return res
 	}
-	ev, lg := solve("event"), solve("legacy")
-	if ev.Status != lg.Status || ev.Objective != lg.Objective {
-		t.Fatalf("engines diverge: event %v/%v, legacy %v/%v",
-			ev.Status, ev.Objective, lg.Status, lg.Objective)
+	for _, o := range []string{"o1", "o2"} {
+		must(t, n.Insert("object", sval(o), ival(2)))
 	}
-	if ev.Stats.Nodes != lg.Stats.Nodes {
-		t.Fatalf("trace diverged: %d vs %d nodes", ev.Stats.Nodes, lg.Stats.Nodes)
+	res, err := n.Solve(core.SolveOptions{})
+	must(t, err)
+	h := sha256.New()
+	for _, a := range res.Assignments {
+		fmt.Fprintf(h, "%s%v\n", a.Pred, a.Vals)
 	}
-	if len(ev.Assignments) != len(lg.Assignments) {
-		t.Fatalf("assignment counts differ: %d vs %d", len(ev.Assignments), len(lg.Assignments))
-	}
-	for i := range ev.Assignments {
-		a, b := ev.Assignments[i], lg.Assignments[i]
-		for j := range a.Vals {
-			if !a.Vals[j].Equal(b.Vals[j]) {
-				t.Fatalf("assignment %d differs: %v vs %v", i, a.Vals, b.Vals)
-			}
-		}
+	got := fmt.Sprintf("status=%s obj=%s nodes=%d failures=%d assign=%x",
+		res.Status, strconv.FormatFloat(res.Objective, 'g', -1, 64), res.Stats.Nodes, res.Stats.Failures, h.Sum(nil))
+	if got != placementTrace {
+		t.Fatalf("trace diverged from the recorded legacy trace:\n got  %s\n want %s", got, placementTrace)
 	}
 }
 

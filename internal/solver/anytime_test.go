@@ -55,47 +55,45 @@ func checkMonotone(t *testing.T, sense Sense, objs []float64) {
 // contract: installing the incumbent-snapshot and interrupt hooks with an
 // unbounded budget (the interrupt never fires) reproduces the exact
 // full-solve trace — status, objective, values, and node/failure/solution
-// counts — on both engines, with and without restarts.
+// counts — with and without restarts.
 func TestAnytimeHooksPreserveTrace(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		m := randomModel(rand.New(rand.NewSource(seed)))
-		for _, engine := range []Engine{EngineEvent, EngineLegacy} {
-			for _, restarts := range []int{0, 3} {
-				plain := m.Solve(Options{Engine: engine, Propagate: true, Restarts: restarts})
+		for _, restarts := range []int{0, 3} {
+			plain := m.Solve(Options{Propagate: true, Restarts: restarts})
 
-				log := &incumbentLog{}
-				polled := 0
-				hooked := m.Solve(Options{
-					Engine: engine, Propagate: true, Restarts: restarts,
-					Interrupt:   func() bool { polled++; return false },
-					OnIncumbent: log.hook,
-				})
+			log := &incumbentLog{}
+			polled := 0
+			hooked := m.Solve(Options{
+				Propagate: true, Restarts: restarts,
+				Interrupt:   func() bool { polled++; return false },
+				OnIncumbent: log.hook,
+			})
 
-				if plain.Status != hooked.Status || plain.Objective != hooked.Objective {
-					t.Fatalf("seed %d engine %v restarts %d: %v/%v vs hooked %v/%v",
-						seed, engine, restarts, plain.Status, plain.Objective, hooked.Status, hooked.Objective)
+			if plain.Status != hooked.Status || plain.Objective != hooked.Objective {
+				t.Fatalf("seed %d restarts %d: %v/%v vs hooked %v/%v",
+					seed, restarts, plain.Status, plain.Objective, hooked.Status, hooked.Objective)
+			}
+			if plain.Stats.Nodes != hooked.Stats.Nodes ||
+				plain.Stats.Failures != hooked.Stats.Failures ||
+				plain.Stats.Solutions != hooked.Stats.Solutions {
+				t.Fatalf("seed %d restarts %d: trace diverged: %+v vs %+v",
+					seed, restarts, plain.Stats, hooked.Stats)
+			}
+			if hooked.Stats.Interrupted {
+				t.Fatalf("seed %d: interrupted reported with a never-firing hook", seed)
+			}
+			for i := range plain.Values {
+				if plain.Values[i] != hooked.Values[i] {
+					t.Fatalf("seed %d restarts %d: values diverged at %d", seed, restarts, i)
 				}
-				if plain.Stats.Nodes != hooked.Stats.Nodes ||
-					plain.Stats.Failures != hooked.Stats.Failures ||
-					plain.Stats.Solutions != hooked.Stats.Solutions {
-					t.Fatalf("seed %d engine %v restarts %d: trace diverged: %+v vs %+v",
-						seed, engine, restarts, plain.Stats, hooked.Stats)
-				}
-				if hooked.Stats.Interrupted {
-					t.Fatalf("seed %d: interrupted reported with a never-firing hook", seed)
-				}
-				for i := range plain.Values {
-					if plain.Values[i] != hooked.Values[i] {
-						t.Fatalf("seed %d engine %v: values diverged at %d", seed, engine, i)
-					}
-				}
-				checkMonotone(t, m.sense, log.objs)
-				// The last snapshot must be the solution the solve returned.
-				if hooked.Feasible() && m.objective != nil {
-					if len(log.objs) == 0 || log.objs[len(log.objs)-1] != hooked.Objective {
-						t.Fatalf("seed %d engine %v: last incumbent %v != returned %v",
-							seed, engine, log.objs, hooked.Objective)
-					}
+			}
+			checkMonotone(t, m.sense, log.objs)
+			// The last snapshot must be the solution the solve returned.
+			if hooked.Feasible() && m.objective != nil {
+				if len(log.objs) == 0 || log.objs[len(log.objs)-1] != hooked.Objective {
+					t.Fatalf("seed %d restarts %d: last incumbent %v != returned %v",
+						seed, restarts, log.objs, hooked.Objective)
 				}
 			}
 		}
@@ -104,10 +102,10 @@ func TestAnytimeHooksPreserveTrace(t *testing.T) {
 
 // TestAnytimeIncumbentMonotone drives the knapsack model to a mid-search
 // interrupt at varying depths and checks the hard half of the anytime
-// contract on both engines: the incumbent stream never worsens across
-// budget interrupts, the interrupted solve returns exactly the last
-// snapshot it reported, and Stats.Interrupted distinguishes the hook stop
-// from an ordinary completion.
+// contract: the incumbent stream never worsens across budget interrupts,
+// the interrupted solve returns exactly the last snapshot it reported, and
+// Stats.Interrupted distinguishes the hook stop from an ordinary
+// completion.
 func TestAnytimeIncumbentMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := knapsackModel(rng, 22)
@@ -119,38 +117,36 @@ func TestAnytimeIncumbentMonotone(t *testing.T) {
 		t.Fatalf("knapsack model too easy for interrupt coverage: %d nodes", full.Stats.Nodes)
 	}
 
-	for _, engine := range []Engine{EngineEvent, EngineLegacy} {
-		for _, restarts := range []int{0, 2} {
-			for _, stopAfter := range []int{1, 3, 7, 20} {
-				log := &incumbentLog{}
-				polls := 0
-				sol := m.Solve(Options{
-					Engine: engine, Propagate: true, Restarts: restarts,
-					OnIncumbent: log.hook,
-					Interrupt:   func() bool { polls++; return polls > stopAfter },
-				})
-				checkMonotone(t, Maximize, log.objs)
-				if !sol.Stats.Interrupted {
-					t.Fatalf("engine %v stopAfter %d: interrupt did not register", engine, stopAfter)
+	for _, restarts := range []int{0, 2} {
+		for _, stopAfter := range []int{1, 3, 7, 20} {
+			log := &incumbentLog{}
+			polls := 0
+			sol := m.Solve(Options{
+				Propagate: true, Restarts: restarts,
+				OnIncumbent: log.hook,
+				Interrupt:   func() bool { polls++; return polls > stopAfter },
+			})
+			checkMonotone(t, Maximize, log.objs)
+			if !sol.Stats.Interrupted {
+				t.Fatalf("restarts %d stopAfter %d: interrupt did not register", restarts, stopAfter)
+			}
+			if sol.Status == StatusOptimal {
+				t.Fatalf("restarts %d stopAfter %d: interrupted solve claimed optimality", restarts, stopAfter)
+			}
+			if !sol.Feasible() {
+				continue // interrupted before the first incumbent: nothing to cross-check
+			}
+			if got, want := sol.Objective, log.objs[len(log.objs)-1]; got != want {
+				t.Fatalf("restarts %d stopAfter %d: returned %v, last incumbent %v", restarts, stopAfter, got, want)
+			}
+			for i, v := range log.last {
+				if sol.Values[i] != v {
+					t.Fatalf("restarts %d stopAfter %d: returned values differ from last snapshot at var %d", restarts, stopAfter, i)
 				}
-				if sol.Status == StatusOptimal {
-					t.Fatalf("engine %v stopAfter %d: interrupted solve claimed optimality", engine, stopAfter)
-				}
-				if !sol.Feasible() {
-					continue // interrupted before the first incumbent: nothing to cross-check
-				}
-				if got, want := sol.Objective, log.objs[len(log.objs)-1]; got != want {
-					t.Fatalf("engine %v stopAfter %d: returned %v, last incumbent %v", engine, stopAfter, got, want)
-				}
-				for i, v := range log.last {
-					if sol.Values[i] != v {
-						t.Fatalf("engine %v: returned values differ from last snapshot at var %d", engine, i)
-					}
-				}
-				// The incumbent at interrupt can never beat the full solve.
-				if sol.Objective > full.Objective {
-					t.Fatalf("engine %v: interrupted objective %v beats optimum %v", engine, sol.Objective, full.Objective)
-				}
+			}
+			// The incumbent at interrupt can never beat the full solve.
+			if sol.Objective > full.Objective {
+				t.Fatalf("restarts %d stopAfter %d: interrupted objective %v beats optimum %v", restarts, stopAfter, sol.Objective, full.Objective)
 			}
 		}
 	}

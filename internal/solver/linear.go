@@ -1,9 +1,6 @@
 package solver
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Linear-constraint recognition and bounds propagation. Grounded Colog
 // programs are dominated by linear constraints — assignment counts
@@ -18,14 +15,6 @@ import (
 type linTerm struct {
 	coef float64
 	v    *Var
-}
-
-// linearCon is a recognized linear constraint sum(terms) + k op 0 with
-// op in {<=, ==, >=} normalized to <= / == forms.
-type linearCon struct {
-	terms []linTerm
-	k     float64
-	op    Op // OpLe, OpGe or OpEq over sum(terms)+k vs 0... normalized: sum op -k
 }
 
 // extractLinear recognizes e as a linear comparison and returns its
@@ -63,8 +52,8 @@ func extractLinear(e *Expr) (terms []linTerm, op Op, K float64, ok bool) {
 		}
 	}
 	// Deterministic term order (the accumulator map above is unordered):
-	// both engines propagate and, with fractional coefficients, accumulate
-	// sums in the same sequence.
+	// propagation, and with fractional coefficients the accumulated sums,
+	// then follow the same sequence on every run.
 	sort.Slice(terms, func(i, j int) bool { return terms[i].v.ID < terms[j].v.ID })
 	// Normalize strict ops on integers: x < y  <=>  x <= y-1.
 	op = e.Op
@@ -154,133 +143,4 @@ func linearize(e *Expr) (linForm, bool) {
 		return linForm{}, false
 	}
 	return linForm{}, false
-}
-
-// linearProps holds the model's recognized linear constraints, indexed by
-// variable for propagation.
-type linearProps struct {
-	cons  []linearCon
-	byVar [][]int // var ID -> constraint indices
-}
-
-func buildLinearProps(m *Model, minTerms int) *linearProps {
-	// The linear shapes were classified once by Model.Prepare (or the first
-	// Solve); both engines share that extraction and apply the same
-	// attachment threshold.
-	p := m.prepareWith(minTerms)
-	lp := &linearProps{byVar: make([][]int, len(m.vars))}
-	for _, ls := range p.lin {
-		idx := len(lp.cons)
-		lp.cons = append(lp.cons, linearCon{terms: ls.terms, k: ls.k, op: ls.op})
-		for _, t := range ls.terms {
-			lp.byVar[t.v.ID] = append(lp.byVar[t.v.ID], idx)
-		}
-	}
-	return lp
-}
-
-// propagate tightens the domains of free variables in the constraints
-// touching changed variable vid. It returns false on a wipe-out
-// (infeasible), and records every narrowing through narrow() so the caller
-// can trail it.
-func (lp *linearProps) propagate(s *searcher, vid int) bool {
-	for _, ci := range lp.byVar[vid] {
-		c := &lp.cons[ci]
-		if !lp.propagateOne(s, c) {
-			return false
-		}
-	}
-	return true
-}
-
-func (lp *linearProps) propagateOne(s *searcher, c *linearCon) bool {
-	// Bounds of the sum excluding each free variable.
-	// First pass: total min/max.
-	minSum, maxSum := 0.0, 0.0
-	for _, t := range c.terms {
-		d := s.ev.dom[t.v.ID]
-		if d.Empty() {
-			return false
-		}
-		lo, hi := float64(d.Min())*t.coef, float64(d.Max())*t.coef
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		minSum += lo
-		maxSum += hi
-	}
-	checkLe := c.op == OpLe || c.op == OpEq // sum <= K must hold
-	checkGe := c.op == OpGe || c.op == OpEq // sum >= K must hold
-	if checkLe && minSum > c.k+1e-9 {
-		return false
-	}
-	if checkGe && maxSum < c.k-1e-9 {
-		return false
-	}
-	// Second pass: tighten each free variable from the residual.
-	for _, t := range c.terms {
-		d := s.ev.dom[t.v.ID]
-		if d.Size() <= 1 || t.coef == 0 {
-			continue
-		}
-		lo, hi := float64(d.Min())*t.coef, float64(d.Max())*t.coef
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		restMin, restMax := minSum-lo, maxSum-hi
-		// c.op constraints on t.coef * x:
-		//   <=: coef*x <= K - restMin
-		//   >=: coef*x >= K - restMax
-		var newLo, newHi float64 = math.Inf(-1), math.Inf(1)
-		if checkLe {
-			bound := c.k - restMin
-			if t.coef > 0 {
-				newHi = math.Min(newHi, bound/t.coef)
-			} else {
-				newLo = math.Max(newLo, bound/t.coef)
-			}
-		}
-		if checkGe {
-			bound := c.k - restMax
-			if t.coef > 0 {
-				newLo = math.Max(newLo, bound/t.coef)
-			} else {
-				newHi = math.Min(newHi, bound/t.coef)
-			}
-		}
-		if math.IsInf(newLo, -1) && math.IsInf(newHi, 1) {
-			continue
-		}
-		// Clamp infinite bounds to the variable's own range before integer
-		// conversion (int64(Inf) is undefined).
-		if math.IsInf(newLo, -1) {
-			newLo = float64(d.Min())
-		}
-		if math.IsInf(newHi, 1) {
-			newHi = float64(d.Max())
-		}
-		iLo, iHi := int64(math.Ceil(newLo-1e-9)), int64(math.Floor(newHi+1e-9))
-		if float64(d.Min()) >= float64(iLo) && float64(d.Max()) <= float64(iHi) {
-			continue // nothing to prune
-		}
-		kept := make([]int64, 0, d.Size())
-		for _, v := range d.Values() {
-			if v >= iLo && v <= iHi {
-				kept = append(kept, v)
-			}
-		}
-		if len(kept) == 0 {
-			return false
-		}
-		if len(kept) < d.Size() {
-			s.narrowVar(t.v.ID, NewDomain(kept...))
-			if len(kept) == 1 {
-				s.assigned[t.v.ID] = true
-				s.assign[t.v.ID] = kept[0]
-			}
-			// Recompute the sums cheaply by restarting this constraint.
-			return lp.propagateOne(s, c)
-		}
-	}
-	return true
 }

@@ -1,9 +1,8 @@
 package solver
 
-// propagate.go is the event-driven propagation engine, the default search
-// core (Options.Engine = EngineEvent). It replaces the legacy scheme of
-// invalidating every memoized interval after each assignment with three
-// event-driven structures:
+// propagate.go is the event-driven propagation engine, the search core
+// behind Model.Solve. Instead of invalidating every memoized interval after
+// each assignment it keeps three event-driven structures:
 //
 //   - an incremental interval store: expression intervals stay valid at all
 //     times; a domain change marks the variable's DAG node dirty, and a
@@ -20,41 +19,25 @@ package solver
 //     table propagators that enforce domain consistency on small binary
 //     constraints — and the queue drains to fixpoint.
 //
-// In its default configuration the engine takes exactly the same pruning
-// decisions as the legacy forward-checking core (same branching order, same
-// per-node checks), so search traces — and therefore solutions, objectives,
-// and node counts, even under node budgets — are identical; only the work
-// per node shrinks. Options.Fixpoint and Options.ActivityOrder opt into
-// strictly stronger pruning and conflict-driven variable ordering.
+// Trace contract: in its default configuration the engine takes a fixed
+// single-pass schedule of pruning decisions per node (static branching
+// order; linear propagation, constraint falsity, bound cut, forward
+// checking). The resulting search traces — solutions, objectives, node and
+// failure counts, even under node budgets — are pinned to
+// testdata/engine_trace.golden, recorded from the seed forward-checking
+// core this engine replaced, and brute force (bruteforce.go) remains the
+// live oracle for status and optimum. Options.Fixpoint and
+// Options.ActivityOrder opt into strictly stronger pruning and
+// conflict-driven variable ordering, and so leave that trace.
 //
-// Caveat: cached residual bounds are maintained by adding and subtracting
-// per-term deltas. On the integer-valued data Cologne grounds this is exact;
-// models with irrational coefficients may see ulp-level differences from the
-// legacy engine's freshly accumulated sums.
+// Cached residual bounds are maintained by adding and subtracting per-term
+// deltas. On the integer-valued data Cologne grounds this is exact; models
+// with irrational coefficients may see ulp-level rounding in the sums.
 
 import (
 	"math"
 	"sort"
 )
-
-// Engine selects the search core for a Solve call.
-type Engine int
-
-const (
-	// EngineEvent is the event-driven propagation engine (the default).
-	EngineEvent Engine = iota
-	// EngineLegacy is the seed forward-checking search core, kept for
-	// ablation benchmarks and as the equivalence-test reference.
-	EngineLegacy
-)
-
-// String returns the engine's flag-friendly name.
-func (e Engine) String() string {
-	if e == EngineLegacy {
-		return "legacy"
-	}
-	return "event"
-}
 
 // ---------------------------------------------------------------- shapes
 
@@ -861,7 +844,7 @@ func (s *esearcher) bindVar(vid int, val int64) {
 }
 
 // afterAssign runs the propagation pipeline for the assignment of vid. In
-// the default (trace-compatible) mode it performs exactly the legacy checks
+// the default (trace-pinned) mode it performs the single-pass checks
 // — linear residual propagation from vid, falsity of the constraints
 // touching vid, the objective bound cut, then forward checking — each
 // reading the incrementally maintained state instead of re-deriving it. In
@@ -908,9 +891,9 @@ func (s *esearcher) eventBoundOK() bool {
 	return s.boundCut(s.st.memo[s.m.objective.ID])
 }
 
-// propagateFrom tightens the constraints watching vid, mirroring the legacy
-// pass: one sweep over the watching constraints in posting order, each
-// restarted from its (cached) residual sums after a successful narrowing.
+// propagateFrom tightens the constraints watching vid in one sweep over
+// them in posting order, each restarted from its (cached) residual sums
+// after a successful narrowing.
 func (le *linEngine) propagateFrom(s *esearcher, vid int) bool {
 	for _, ref := range le.byVar[vid] {
 		if !le.propagateOne(s, &le.cons[ref.con]) {
@@ -1005,7 +988,7 @@ func (s *esearcher) narrow(vid int, d Domain) {
 	}
 }
 
-// forwardCheck mirrors the legacy last-free-variable pruning: for every
+// forwardCheck performs last-free-variable pruning: for every
 // constraint touching vid whose free variables reduce to one, each candidate
 // value is tested against the constraint under a hypothetical singleton
 // domain; values whose trial makes the constraint definitely false are

@@ -6,10 +6,9 @@ import (
 	"time"
 )
 
-// searchState holds the engine-independent part of one search: the incumbent,
-// the assignment scratch, phase memory, and the node/time budget. Both the
-// event-driven propagation engine (propagate.go) and the legacy
-// forward-checking searcher embed it.
+// searchState holds the propagation-independent part of one search: the
+// incumbent, the assignment scratch, phase memory, and the node/time
+// budget. The event-driven searcher (propagate.go) embeds it.
 type searchState struct {
 	m    *Model
 	opts Options
@@ -228,7 +227,7 @@ func (s *searchState) finish(sol *Solution, complete bool) {
 	}
 }
 
-// staticOrder returns the branching order used by both engines:
+// staticOrder returns the default branching order:
 // most-constrained variables (smallest root domains) first, breaking ties by
 // creation order, which in Cologne groups variables of the same grounded
 // table together.
@@ -252,9 +251,8 @@ func staticOrder(m *Model) []int {
 // exhaustion the best incumbent found so far is returned with
 // StatusFeasible.
 //
-// The default search core is the event-driven propagation engine
-// (propagate.go); Options.Engine selects the legacy forward-checking core
-// instead. With Options.Restarts > 0 the search restarts with geometrically
+// The search core is the event-driven propagation engine (propagate.go).
+// With Options.Restarts > 0 the search restarts with geometrically
 // growing node limits, carrying the incumbent, conflict activity, and
 // (optionally) saved phases across runs.
 func (m *Model) Solve(opts Options) *Solution {
@@ -304,11 +302,7 @@ func (m *Model) solveOnce(opts Options, prev *searchState) (*Solution, *searchSt
 		return sol, state
 	}
 
-	if opts.Engine == EngineLegacy {
-		m.solveLegacy(state, sol)
-	} else {
-		m.solveEvent(state, sol)
-	}
+	m.solveEvent(state, sol)
 	return sol, state
 }
 
@@ -461,252 +455,4 @@ func phaseHints(user map[int]int64, state *searchState, best *Solution) map[int]
 		}
 	}
 	return merged
-}
-
-// ------------------------------------------------------------ legacy engine
-
-// searcher is the seed search core: depth-first branch-and-bound with
-// generational interval re-evaluation and per-node forward checking. It is
-// kept as Options.Engine = EngineLegacy for ablation benchmarks and as the
-// reference the event engine is validated against.
-type searcher struct {
-	*searchState
-	ev *evaluator
-
-	order   []int   // variable IDs in branching order
-	varCons [][]int // variable ID -> indices of constraints mentioning it
-	lp      *linearProps
-
-	trail []trailEntry
-}
-
-type trailEntry struct {
-	varID int
-	dom   Domain
-}
-
-func (m *Model) solveLegacy(state *searchState, sol *Solution) {
-	s := &searcher{
-		searchState: state,
-		ev:          newEvaluator(m),
-	}
-	s.buildIndexes()
-	if !state.opts.DisableLinear {
-		if lp := buildLinearProps(m, state.opts.LinearMinTerms); len(lp.cons) > 0 {
-			s.lp = lp
-		}
-	}
-
-	// Root-level consistency check.
-	s.ev.nextGen()
-	for _, c := range m.constraints {
-		if s.ev.interval(c).False() {
-			sol.Status = StatusInfeasible
-			return
-		}
-	}
-
-	complete := s.dfs(0)
-	state.finish(sol, complete)
-}
-
-func (s *searcher) buildIndexes() {
-	m := s.m
-	s.order = staticOrder(m)
-	s.varCons = make([][]int, len(m.vars))
-	scratch := make([]int, 0, 16)
-	for ci, c := range m.constraints {
-		scratch = c.Vars(scratch[:0])
-		seen := make(map[int]struct{}, len(scratch))
-		for _, vid := range scratch {
-			if _, ok := seen[vid]; ok {
-				continue
-			}
-			seen[vid] = struct{}{}
-			s.varCons[vid] = append(s.varCons[vid], ci)
-		}
-	}
-}
-
-// dfs explores from branching-order position depth. It returns true when the
-// subtree was exhausted (search space fully explored), false when the search
-// was cut short by a budget.
-func (s *searcher) dfs(depth int) bool {
-	if s.checkBudget() {
-		return false
-	}
-	if depth == len(s.order) {
-		s.recordSolution()
-		return true
-	}
-	vid := s.order[depth]
-	if s.opts.DynamicOrder {
-		// dom heuristic: branch on the unassigned variable with the
-		// smallest current domain. Swap it into this depth's slot so the
-		// recursion and undo logic are unchanged.
-		best := depth
-		for i := depth + 1; i < len(s.order); i++ {
-			if s.assigned[s.order[i]] {
-				continue
-			}
-			if s.assigned[s.order[best]] ||
-				s.ev.dom[s.order[i]].Size() < s.ev.dom[s.order[best]].Size() {
-				best = i
-			}
-		}
-		if best != depth {
-			s.order[depth], s.order[best] = s.order[best], s.order[depth]
-			defer func() { s.order[depth], s.order[best] = s.order[best], s.order[depth] }()
-		}
-		vid = s.order[depth]
-	}
-	v := s.m.vars[vid]
-	complete := true
-	for _, val := range s.candidateValues(s.ev.dom[vid], v, depth) {
-		if s.checkBudget() {
-			return false
-		}
-		s.stats.Nodes++
-		mark := len(s.trail)
-		s.setVar(vid, val)
-		ok := true
-		if s.lp != nil {
-			ok = s.lp.propagate(s, vid)
-		}
-		ok = ok && s.consistentAfter(vid) && s.boundOK()
-		if ok && s.opts.Propagate {
-			ok = s.forwardCheck(vid)
-		}
-		if ok {
-			if !s.dfs(depth + 1) {
-				complete = false
-			}
-			if s.opts.FirstSolution && s.haveSol {
-				s.stopped = true
-				s.undo(mark)
-				return false
-			}
-			if s.m.sense == Satisfy && s.haveSol {
-				// One solution suffices for satisfy problems; the subtree
-				// counts as explored so the result is reported optimal.
-				s.undo(mark)
-				return complete
-			}
-		} else {
-			s.stats.Failures++
-		}
-		s.undo(mark)
-		if s.stopped {
-			return false
-		}
-	}
-	return complete
-}
-
-func (s *searcher) setVar(vid int, val int64) {
-	s.trail = append(s.trail, trailEntry{vid, s.ev.dom[vid]})
-	s.ev.dom[vid] = NewDomain(val)
-	s.assigned[vid] = true
-	s.assign[vid] = val
-	s.notePhase(vid, val)
-	s.ev.nextGen()
-}
-
-func (s *searcher) narrowVar(vid int, d Domain) {
-	s.trail = append(s.trail, trailEntry{vid, s.ev.dom[vid]})
-	s.ev.dom[vid] = d
-	s.ev.nextGen()
-}
-
-func (s *searcher) undo(mark int) {
-	for len(s.trail) > mark {
-		e := s.trail[len(s.trail)-1]
-		s.trail = s.trail[:len(s.trail)-1]
-		s.ev.dom[e.varID] = e.dom
-		if e.dom.Size() > 1 {
-			s.assigned[e.varID] = false
-		}
-	}
-	s.ev.nextGen()
-}
-
-// consistentAfter checks every constraint touching vid for definite
-// violation under current bounds.
-func (s *searcher) consistentAfter(vid int) bool {
-	for _, ci := range s.varCons[vid] {
-		if s.ev.interval(s.m.constraints[ci]).False() {
-			return false
-		}
-	}
-	return true
-}
-
-// boundOK applies the branch-and-bound objective cut.
-func (s *searcher) boundOK() bool {
-	if s.m.objective == nil || !s.haveSol {
-		return true
-	}
-	return s.boundCut(s.ev.interval(s.m.objective))
-}
-
-// forwardCheck prunes domains of unassigned variables that appear in
-// constraints where they are the last free variable; if a domain becomes a
-// singleton the value is committed, if it empties the branch fails.
-func (s *searcher) forwardCheck(vid int) bool {
-	for _, ci := range s.varCons[vid] {
-		c := s.m.constraints[ci]
-		free := -1
-		nFree := 0
-		for _, w := range c.Vars(nil) {
-			if !s.assigned[w] {
-				if free != w {
-					if free != -1 {
-						nFree = 2
-						break
-					}
-					free = w
-					nFree = 1
-				}
-			}
-		}
-		if nFree != 1 {
-			continue
-		}
-		dom := s.ev.dom[free]
-		keep := make([]int64, 0, dom.Size())
-		for _, val := range dom.Values() {
-			s.narrowVar(free, NewDomain(val))
-			violated := s.ev.interval(c).False()
-			// Restore just this narrowing.
-			e := s.trail[len(s.trail)-1]
-			s.trail = s.trail[:len(s.trail)-1]
-			s.ev.dom[e.varID] = e.dom
-			s.ev.nextGen()
-			if !violated {
-				keep = append(keep, val)
-			}
-		}
-		if len(keep) == 0 {
-			return false
-		}
-		if len(keep) < dom.Size() {
-			s.narrowVar(free, NewDomain(keep...))
-			if len(keep) == 1 {
-				s.assigned[free] = true
-				s.assign[free] = keep[0]
-			}
-		}
-	}
-	return true
-}
-
-func (s *searcher) recordSolution() {
-	// All variables are fixed here; verify constraints exactly (intervals on
-	// fully fixed DAGs are exact, but a model may have constraints over no
-	// variables at all).
-	vals := make([]int64, len(s.m.vars))
-	for i := range vals {
-		vals[i] = s.ev.dom[i].Min()
-	}
-	s.record(vals)
 }

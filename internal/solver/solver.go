@@ -102,24 +102,17 @@ type Options struct {
 	// always attached (they tighten a domain once near the root and are
 	// nearly free afterwards). 0 selects the built-in default threshold; 1
 	// attaches a propagator to every linear constraint (the pre-threshold
-	// behavior). Both engines apply the same threshold, keeping their
-	// traces aligned.
+	// behavior).
 	LinearMinTerms int
 	// DynamicOrder selects the branching variable dynamically by smallest
 	// current domain (dom heuristic) instead of the static
 	// smallest-initial-domain order. Pays off when propagation shrinks
 	// domains unevenly.
 	DynamicOrder bool
-	// Engine selects the search core: EngineEvent (default) is the
-	// event-driven propagation engine, EngineLegacy the seed
-	// forward-checking core. In their default configuration the two take
-	// identical pruning decisions, so solutions, objectives and node counts
-	// match; only the work per node differs.
-	Engine Engine
-	// Fixpoint (event engine only) drains the propagator queue to fixpoint
-	// after every assignment — linear residual tightening plus table
-	// propagators on small binary constraints — instead of the legacy
-	// single-pass schedule. Strictly stronger pruning: statuses and optima
+	// Fixpoint drains the propagator queue to fixpoint after every
+	// assignment — linear residual tightening plus table propagators on
+	// small binary constraints — instead of the default single-pass
+	// schedule. Strictly stronger pruning: statuses and optima
 	// are unchanged, but node counts drop, so under a node budget the
 	// incumbent may differ from the default configuration's.
 	Fixpoint bool
@@ -133,9 +126,9 @@ type Options struct {
 	// last values branched on — so later runs dive back to the promising
 	// region first.
 	PhaseSaving bool
-	// ActivityOrder (event engine only) branches on the variable with the
-	// highest conflict activity (scaled by current domain size) instead of
-	// the static order. Changes traversal order, so with ties or budgets
+	// ActivityOrder branches on the variable with the highest conflict
+	// activity (scaled by current domain size) instead of the static
+	// order. Changes traversal order, so with ties or budgets
 	// the returned solution may differ from the default configuration's.
 	ActivityOrder bool
 	// ValueOrder optionally reorders the candidate values for a variable;

@@ -68,10 +68,8 @@ type Params struct {
 	NegotiationInterval time.Duration // distributed per-round virtual time
 	SolverMaxNodes      int64
 	SolverMaxTime       time.Duration
-	// SolverEngine/SolverFixpoint/SolverRestarts select and tune the search
-	// core per Config (see core.Config); zero values keep the default
-	// event-driven propagation engine.
-	SolverEngine   string
+	// SolverFixpoint/SolverRestarts tune the search per Config (see
+	// core.Config); zero values keep the default single-pass schedule.
 	SolverFixpoint bool
 	SolverRestarts int
 	// SolverIncremental enables incremental re-grounding with solver-model
@@ -256,7 +254,6 @@ func centralizedAssignment(t *Topology, p Params, res *Result) (Assignment, erro
 	cfg := entry.Config
 	cfg.SolverMaxNodes = p.SolverMaxNodes
 	cfg.SolverMaxTime = p.SolverMaxTime
-	cfg.SolverEngine = p.SolverEngine
 	cfg.SolverFixpoint = p.SolverFixpoint
 	cfg.SolverRestarts = p.SolverRestarts
 	cfg.SolverIncremental = p.SolverIncremental
@@ -385,7 +382,6 @@ func distributedConfig(p Params, entry programs.Entry) core.Config {
 	cfg := entry.Config
 	cfg.SolverMaxNodes = p.SolverMaxNodes
 	cfg.SolverMaxTime = p.SolverMaxTime
-	cfg.SolverEngine = p.SolverEngine
 	cfg.SolverFixpoint = p.SolverFixpoint
 	cfg.SolverRestarts = p.SolverRestarts
 	cfg.SolverIncremental = p.SolverIncremental

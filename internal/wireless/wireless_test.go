@@ -1,6 +1,8 @@
 package wireless
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -280,30 +282,35 @@ func TestIdenticalChUsesTwoChannels(t *testing.T) {
 	}
 }
 
+// wirelessTrace fingerprints, per protocol, the channel assignment run of
+// TestEngineEquivalence: residual interference, summed search nodes and a
+// sha256 of the throughput series. The lines were recorded from the legacy
+// forward-checking search core before that core was deleted; the event
+// engine matched both at that point.
+var wirelessTrace = map[Protocol]string{
+	Centralized: "interference=12 nodes=0 series=79428d84fe8d5570b9483be0c402ab04af9bc9f9ea088a7faed6d2a144675d8f",
+	Distributed: "interference=14 nodes=112 series=79428d84fe8d5570b9483be0c402ab04af9bc9f9ea088a7faed6d2a144675d8f",
+}
+
 // TestEngineEquivalence runs the centralized and distributed channel
-// assignments under both search cores with only the node budget binding and
-// requires identical throughput series and interference counts.
+// assignments with only the node budget binding and requires the
+// throughput series, interference counts and search effort recorded in
+// wirelessTrace.
 func TestEngineEquivalence(t *testing.T) {
 	for _, proto := range []Protocol{Centralized, Distributed} {
-		run := func(engine string) *Result {
-			p := tinyParams()
-			p.SolverMaxTime = 0 // only the deterministic node budget binds
-			p.SolverEngine = engine
-			res, err := Run(p, proto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
+		p := tinyParams()
+		p.SolverMaxTime = 0 // only the deterministic node budget binds
+		res, err := Run(p, proto)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ev, lg := run("event"), run("legacy")
-		if ev.Interference != lg.Interference {
-			t.Fatalf("%s: interference %d vs %d", proto, ev.Interference, lg.Interference)
+		h := sha256.New()
+		for _, mbps := range res.ThroughputMbps {
+			fmt.Fprintf(h, "%v\n", mbps)
 		}
-		for i := range ev.ThroughputMbps {
-			if ev.ThroughputMbps[i] != lg.ThroughputMbps[i] {
-				t.Fatalf("%s: throughput[%d] %v vs %v",
-					proto, i, ev.ThroughputMbps[i], lg.ThroughputMbps[i])
-			}
+		got := fmt.Sprintf("interference=%d nodes=%d series=%x", res.Interference, res.SolverNodes, h.Sum(nil))
+		if want := wirelessTrace[proto]; got != want {
+			t.Errorf("%s: run diverged from the recorded legacy trace:\n got  %s\n want %s", proto, got, want)
 		}
 	}
 }
