@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-json bench-diff fuzz fuzz-wire fuzz-wal fuzz-churn fuzz-rollup wal-torture bench-smoke-repo lint docs-check recovery-equivalence streaming-equivalence serving-soak alloc-budget shard-equivalence shard-smoke sharded-10k ci
+.PHONY: build test bench bench-json bench-diff fuzz fuzz-wire fuzz-wal fuzz-churn fuzz-rollup wal-torture bench-smoke-repo lint docs-check recovery-equivalence streaming-equivalence serving-soak alloc-budget shard-equivalence shard-smoke sharded-10k figures-smoke ci
 
 build:
 	$(GO) build ./...
@@ -134,6 +134,16 @@ shard-smoke:
 sharded-10k:
 	COLOGNE_SHARDED_10K=1 $(GO) test -count=1 -run 'TestSharded10kRound' -v -timeout 30m ./internal/wireless
 
+# The figure-binary smoke gate: cmd/acloud, cmd/followsun and cmd/wireless
+# print the paper's Figures 2-7 through each scenario's one experiment
+# runner, RunCluster. They have no tests of their own, so each must at least
+# exit 0.
+figures-smoke:
+	$(GO) run ./cmd/acloud >/dev/null
+	$(GO) run ./cmd/followsun >/dev/null
+	$(GO) run ./cmd/wireless >/dev/null
+	$(GO) run ./cmd/wireless -fig7 >/dev/null
+
 # Documentation gate: broken relative links and intra-document anchors in
 # README.md/docs/*.md and unformatted example Go files fail the build.
 docs-check:
@@ -141,8 +151,10 @@ docs-check:
 
 # The first gate below is the solver property test: random solves vs brute
 # force and vs the search traces recorded from the deleted legacy core in
-# internal/solver/testdata/engine_trace.golden.
-ci: lint build test docs-check bench-smoke-repo
+# internal/solver/testdata/engine_trace.golden. The two TestClusterEquivalence
+# lines check each scenario's RunCluster, at several worker counts, against
+# fingerprints recorded from the deleted sequential Run loops.
+ci: lint build test docs-check bench-smoke-repo figures-smoke
 	$(GO) test -count=1 -run 'TestEnginesMatchBruteForce|TestEventEngineTraceMatchesLegacy' ./internal/solver
 	$(GO) test -count=1 -run 'TestIncrementalGroundEquivalence' ./internal/core
 	$(GO) test -count=1 -run 'TestStreamingGroundEquivalence' ./internal/core

@@ -69,7 +69,7 @@ func acloudBenchParams() acloud.Params {
 // the Default policy's).
 func BenchmarkFigure2ACloudStdev(b *testing.B) {
 	p := acloudBenchParams()
-	base, err := acloud.Run(p, acloud.Default)
+	base, err := acloud.RunCluster(p, acloud.Default, cluster.Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func BenchmarkFigure2ACloudStdev(b *testing.B) {
 			var res *acloud.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = acloud.Run(p, pol)
+				res, err = acloud.RunCluster(p, pol, cluster.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -100,7 +100,7 @@ func BenchmarkFigure3ACloudMigrations(b *testing.B) {
 			var res *acloud.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = acloud.Run(p, pol)
+				res, err = acloud.RunCluster(p, pol, cluster.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -129,7 +129,7 @@ func BenchmarkFigure4FollowTheSunCost(b *testing.B) {
 			var res *followsun.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = followsun.Run(followSunBenchParams(n))
+				res, err = followsun.RunCluster(followSunBenchParams(n), cluster.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -149,7 +149,7 @@ func BenchmarkFigure5FollowTheSunBandwidth(b *testing.B) {
 			var res *followsun.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = followsun.Run(followSunBenchParams(n))
+				res, err = followsun.RunCluster(followSunBenchParams(n), cluster.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -184,7 +184,7 @@ func BenchmarkFigure6WirelessThroughput(b *testing.B) {
 			var res *wireless.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = wireless.Run(p, proto)
+				res, err = wireless.RunCluster(p, proto, cluster.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -219,7 +219,7 @@ func BenchmarkFigure7WirelessPolicies(b *testing.B) {
 			var res *wireless.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = wireless.Run(q, wireless.CrossLayer)
+				res, err = wireless.RunCluster(q, wireless.CrossLayer, cluster.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -247,14 +247,14 @@ func BenchmarkACloudCompile(b *testing.B) {
 // (ground + solve + materialize); the paper reports <0.5 s.
 func BenchmarkFollowSunPerLinkCOP(b *testing.B) {
 	p := followSunBenchParams(4)
-	res, err := followsun.Run(p)
+	res, err := followsun.RunCluster(p, cluster.Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(res.MeanSolveTime.Seconds()*1000, "ms/solve")
 	// Re-run whole negotiations to time the solve path end to end.
 	for i := 0; i < b.N; i++ {
-		if _, err := followsun.Run(p); err != nil {
+		if _, err := followsun.RunCluster(p, cluster.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,14 +264,14 @@ func BenchmarkFollowSunPerLinkCOP(b *testing.B) {
 // the d11/c3 cap (the paper reports a 24% reduction on average).
 func BenchmarkFollowSunMigrationCap(b *testing.B) {
 	p := followSunBenchParams(6)
-	free, err := followsun.Run(p)
+	free, err := followsun.RunCluster(p, cluster.Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	p.MaxMigrates = 3
 	var capped *followsun.Result
 	for i := 0; i < b.N; i++ {
-		capped, err = followsun.Run(p)
+		capped, err = followsun.RunCluster(p, cluster.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func BenchmarkWirelessConvergence(b *testing.B) {
 			var res *wireless.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = wireless.Run(p, proto)
+				res, err = wireless.RunCluster(p, proto, cluster.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

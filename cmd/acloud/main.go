@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/acloud"
+	"repro/internal/cluster"
 	"repro/internal/profiling"
 )
 
@@ -59,7 +60,7 @@ func main() {
 	results := make([]*acloud.Result, len(policies))
 	for i, pol := range policies {
 		start := time.Now()
-		res, err := acloud.Run(p, pol)
+		res, err := acloud.RunCluster(p, pol, cluster.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "acloud: %s: %v\n", pol, err)
 			os.Exit(1)

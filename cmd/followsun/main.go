@@ -14,6 +14,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/followsun"
 	"repro/internal/profiling"
 )
@@ -59,7 +60,7 @@ func main() {
 		p.Seed = *seed
 		p.DemandMax = *demanded
 		start := time.Now()
-		res, err := followsun.Run(p)
+		res, err := followsun.RunCluster(p, cluster.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "followsun: %d DCs: %v\n", n, err)
 			os.Exit(1)

@@ -13,6 +13,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/profiling"
 	"repro/internal/wireless"
 )
@@ -53,7 +54,7 @@ func main() {
 	results := make([]*wireless.Result, len(protocols))
 	for i, proto := range protocols {
 		start := time.Now()
-		res, err := wireless.Run(p, proto)
+		res, err := wireless.RunCluster(p, proto, cluster.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wireless: %s: %v\n", proto, err)
 			os.Exit(1)
@@ -103,7 +104,7 @@ func runFig7(p wireless.Params) {
 	for _, v := range variants {
 		q := p
 		v.mut(&q)
-		res, err := wireless.Run(q, wireless.CrossLayer)
+		res, err := wireless.RunCluster(q, wireless.CrossLayer, cluster.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wireless: %s: %v\n", v.name, err)
 			os.Exit(1)

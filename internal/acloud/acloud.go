@@ -142,56 +142,6 @@ type cluster struct {
 	byCustomer map[int][]int
 }
 
-// Run executes the experiment for one policy.
-func Run(p Params, pol Policy) (*Result, error) {
-	c := newCluster(p)
-	intervals := int(p.Hours * 60 / float64(p.IntervalMinutes))
-	res := &Result{Policy: pol}
-
-	var nodes []*core.Node
-	if pol == ACloud || pol == ACloudM {
-		var err error
-		nodes, err = c.buildNodes(pol)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	for iv := 1; iv <= intervals; iv++ {
-		now := time.Duration(iv*p.IntervalMinutes) * time.Minute
-		sample := int(now / dctrace.SampleInterval)
-		c.updateDemand(sample)
-
-		migs := 0
-		var err error
-		switch pol {
-		case Default:
-			// no migration
-		case Heuristic:
-			migs = c.heuristicBalance()
-		case ACloud, ACloudM:
-			migs, err = c.copBalance(nodes, pol)
-			if err != nil {
-				return nil, err
-			}
-		}
-
-		res.Times = append(res.Times, now)
-		res.AvgStdev = append(res.AvgStdev, c.avgStdev())
-		res.Migrations = append(res.Migrations, migs)
-	}
-	for i := range res.AvgStdev {
-		res.MeanStdev += res.AvgStdev[i]
-		res.MeanMigrations += float64(res.Migrations[i])
-	}
-	n := float64(len(res.AvgStdev))
-	if n > 0 {
-		res.MeanStdev /= n
-		res.MeanMigrations /= n
-	}
-	return res, nil
-}
-
 func newCluster(p Params) *cluster {
 	c := &cluster{
 		p:          p,
@@ -388,44 +338,8 @@ func (c *cluster) seedDC(n *core.Node) error {
 	return nil
 }
 
-// buildNodes creates one Cologne instance per data center running the
-// ACloud Colog program.
-func (c *cluster) buildNodes(pol Policy) ([]*core.Node, error) {
-	entry := programs.ACloud(pol == ACloudM, c.p.MaxMigrates)
-	cfg := c.nodeConfig(entry)
-	prog, err := core.Compile(entry.Analyze(), cfg.Keys, cfg.Events)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]*core.Node, c.p.DCs)
-	for dc := 0; dc < c.p.DCs; dc++ {
-		n, err := prog.NewNode(fmt.Sprintf("dc%d", dc), cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.seedDC(n); err != nil {
-			return nil, err
-		}
-		nodes[dc] = n
-	}
-	return nodes, nil
-}
-
 func hostName(h int) string { return fmt.Sprintf("h%d", h) }
 func vmName(id int) string  { return fmt.Sprintf("vm%d", id) }
-
-// copBalance runs the per-DC Colog COP and applies the resulting placement.
-func (c *cluster) copBalance(nodes []*core.Node, pol Policy) (int, error) {
-	migs := 0
-	for dc := 0; dc < c.p.DCs; dc++ {
-		m, _, err := c.copBalanceDC(nodes[dc], dc, pol)
-		if err != nil {
-			return 0, err
-		}
-		migs += m
-	}
-	return migs, nil
-}
 
 // copBalanceDC refreshes one data center's COP inputs, solves, and applies
 // the placement. It touches only that DC's node and VM entries, so the

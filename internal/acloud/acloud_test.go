@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	clusterpkg "repro/internal/cluster"
 )
 
 // tinyParams keeps unit tests fast.
@@ -20,7 +22,7 @@ func tinyParams() Params {
 }
 
 func TestRunDefault(t *testing.T) {
-	res, err := Run(tinyParams(), Default)
+	res, err := RunCluster(tinyParams(), Default, clusterpkg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +36,11 @@ func TestRunDefault(t *testing.T) {
 
 func TestRunHeuristicReducesImbalance(t *testing.T) {
 	p := tinyParams()
-	def, err := Run(p, Default)
+	def, err := RunCluster(p, Default, clusterpkg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	heu, err := Run(p, Heuristic)
+	heu, err := RunCluster(p, Heuristic, clusterpkg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +54,11 @@ func TestRunHeuristicReducesImbalance(t *testing.T) {
 
 func TestRunACloudBeatsDefault(t *testing.T) {
 	p := tinyParams()
-	def, err := Run(p, Default)
+	def, err := RunCluster(p, Default, clusterpkg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac, err := Run(p, ACloud)
+	ac, err := RunCluster(p, ACloud, clusterpkg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestRunACloudBeatsDefault(t *testing.T) {
 func TestRunACloudMRespectsCap(t *testing.T) {
 	p := tinyParams()
 	p.MaxMigrates = 2
-	res, err := Run(p, ACloudM)
+	res, err := RunCluster(p, ACloudM, clusterpkg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +91,11 @@ func TestPolicyString(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	p := tinyParams()
-	a, err := Run(p, Heuristic)
+	a, err := RunCluster(p, Heuristic, clusterpkg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(p, Heuristic)
+	b, err := RunCluster(p, Heuristic, clusterpkg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ const acloudTrace = "stdev=9.797184191458882 mig=7 series=c526d2e2abb73acf3a516a
 func TestEngineEquivalence(t *testing.T) {
 	p := tinyParams()
 	p.SolverMaxTime = 0 // only the deterministic node budget binds
-	res, err := Run(p, ACloudM)
+	res, err := RunCluster(p, ACloudM, clusterpkg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 		p := tinyParams()
 		p.SolverMaxTime = 0 // only the deterministic node budget binds
 		p.SolverIncremental = incremental
-		res, err := Run(p, ACloudM)
+		res, err := RunCluster(p, ACloudM, clusterpkg.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,35 +26,36 @@ func ScaledParams(dcs int) Params {
 	return p
 }
 
-// RunCluster executes the trace-driven experiment with the per-DC COPs
-// solved concurrently on the cluster runtime. The data centers are
-// independent (the ACloud program has no distributed rules), so the run is
-// identical to Run at any worker count — same stdev and migration series —
-// pinned by TestClusterEquivalence. Policies without a COP fall through to
-// Run.
+// RunCluster executes the trace-driven experiment for one policy; it is the
+// package's only experiment runner. The COP policies solve their per-DC COPs
+// concurrently on the cluster runtime, one epoch item per data center; Default
+// and Heuristic need no Colog instance and run without one. The data centers
+// are independent (the ACloud program has no distributed rules), so the series
+// are the same at any worker count. TestClusterEquivalence pins them to
+// fingerprints recorded from the sequential loop it replaced.
 func RunCluster(p Params, pol Policy, o clusterpkg.Options) (*Result, error) {
-	if pol != ACloud && pol != ACloudM {
-		return Run(p, pol)
-	}
 	c := newCluster(p)
 	intervals := int(p.Hours * 60 / float64(p.IntervalMinutes))
 	res := &Result{Policy: pol}
 
-	rt := clusterpkg.New(o)
-	defer rt.Close()
-	entry := programs.ACloud(pol == ACloudM, p.MaxMigrates)
-	ares := entry.Analyze()
-	specs := make([]clusterpkg.NodeSpec, p.DCs)
-	for dc := 0; dc < p.DCs; dc++ {
-		specs[dc] = clusterpkg.NodeSpec{
-			Addr:    fmt.Sprintf("dc%d", dc),
-			Program: ares,
-			Config:  c.nodeConfig(entry),
-			Seed:    c.seedDC,
+	var rt *clusterpkg.Runtime
+	if pol == ACloud || pol == ACloudM {
+		rt = clusterpkg.New(o)
+		defer rt.Close()
+		entry := programs.ACloud(pol == ACloudM, p.MaxMigrates)
+		ares := entry.Analyze()
+		specs := make([]clusterpkg.NodeSpec, p.DCs)
+		for dc := 0; dc < p.DCs; dc++ {
+			specs[dc] = clusterpkg.NodeSpec{
+				Addr:    fmt.Sprintf("dc%d", dc),
+				Program: ares,
+				Config:  c.nodeConfig(entry),
+				Seed:    c.seedDC,
+			}
 		}
-	}
-	if err := rt.SpawnAll(specs); err != nil {
-		return nil, err
+		if err := rt.SpawnAll(specs); err != nil {
+			return nil, err
+		}
 	}
 
 	for iv := 1; iv <= intervals; iv++ {
@@ -62,27 +63,34 @@ func RunCluster(p Params, pol Policy, o clusterpkg.Options) (*Result, error) {
 		sample := int(now / dctrace.SampleInterval)
 		c.updateDemand(sample)
 
-		items := make([]clusterpkg.Item, p.DCs)
-		perDC := make([]int, p.DCs)
-		for dc := 0; dc < p.DCs; dc++ {
-			dc := dc
-			addr := fmt.Sprintf("dc%d", dc)
-			items[dc] = clusterpkg.Item{
-				Label: "balance " + addr,
-				Nodes: []string{addr},
-				Run: func() (*core.SolveResult, error) {
-					migs, sres, err := c.copBalanceDC(rt.Node(addr), dc, pol)
-					perDC[dc] = migs
-					return sres, err
-				},
-			}
-		}
-		if _, err := rt.RunEpoch(items); err != nil {
-			return nil, err
-		}
 		migs := 0
-		for _, m := range perDC {
-			migs += m
+		switch pol {
+		case Default:
+			// no migration
+		case Heuristic:
+			migs = c.heuristicBalance()
+		case ACloud, ACloudM:
+			items := make([]clusterpkg.Item, p.DCs)
+			perDC := make([]int, p.DCs)
+			for dc := 0; dc < p.DCs; dc++ {
+				dc := dc
+				addr := fmt.Sprintf("dc%d", dc)
+				items[dc] = clusterpkg.Item{
+					Label: "balance " + addr,
+					Nodes: []string{addr},
+					Run: func() (*core.SolveResult, error) {
+						migs, sres, err := c.copBalanceDC(rt.Node(addr), dc, pol)
+						perDC[dc] = migs
+						return sres, err
+					},
+				}
+			}
+			if _, err := rt.RunEpoch(items); err != nil {
+				return nil, err
+			}
+			for _, m := range perDC {
+				migs += m
+			}
 		}
 
 		res.Times = append(res.Times, now)

@@ -14,8 +14,10 @@
 //     network in item order. Because the scheduler never advances during the
 //     concurrent phase, the resulting event schedule — and therefore every
 //     table, objective, and byte counter — is identical to running the items
-//     sequentially. The scenario equivalence suites
-//     (TestClusterEquivalence in acloud/followsun/wireless) pin this.
+//     sequentially. TestClusterBarrierReplaysItemOrder pins the replay
+//     order, and the scenario equivalence suites (TestClusterEquivalence in
+//     acloud/followsun/wireless) pin whole runs to fingerprints recorded
+//     from sequential loops.
 //
 //   - UDP (ModeUDP): real sockets, free-running rounds. Items still execute
 //     on the pool, but messages leave immediately and deliveries interleave
@@ -321,9 +323,7 @@ func (r *Runtime) program(spec NodeSpec) (*core.Program, error) {
 // SpawnAll builds and registers every node first, then runs the Seed hooks
 // in spec order. Use it when seed facts ship to other cluster nodes (rule
 // localization replicates base facts to neighbors): with Spawn, a fact
-// could be addressed to a node that is not registered yet. This mirrors how
-// the sequential scenario loops construct all instances before inserting
-// facts.
+// could be addressed to a node that is not registered yet.
 func (r *Runtime) SpawnAll(specs []NodeSpec) error {
 	seeds := make([]func(n *core.Node) error, len(specs))
 	nodes := make([]*core.Node, len(specs))

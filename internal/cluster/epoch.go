@@ -398,7 +398,7 @@ func (s *stagedTransport) begin(owner map[string]int, items int) {
 }
 
 // commit replays the buffered messages in item order and leaves staging
-// mode. The buffers themselves are kept for the next epoch — the simulated
+// mode (TestClusterBarrierReplaysItemOrder pins the order). The buffers themselves are kept for the next epoch — the simulated
 // transport copies payloads when it schedules their delivery, so reusing
 // the arenas cannot corrupt in-flight messages. Send errors from the inner
 // transport and stray sends are combined into the returned error.

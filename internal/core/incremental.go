@@ -36,15 +36,12 @@ package core
 // to a full ground.
 
 import (
-	"os"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/colog"
 	"repro/internal/solver"
 )
-
-var debugInc = os.Getenv("COLOGNE_DEBUG_INC") != ""
 
 // ---------------------------------------------------------- provenance
 
@@ -490,16 +487,7 @@ func (n *Node) groundIncremental(g *grounder, st *groundState) (*GroundInfo, boo
 			info.RulesReused++
 		case !upstream && n.patchRun(st, run, dirtyReads, dirty, info):
 			info.RulesPatched++
-			if debugInc {
-				println("PATCH", ruleName(rule))
-			}
 		default:
-			if debugInc {
-				println("REGROUND", ruleName(rule), "upstream", upstream, "dirty", len(dirtyReads))
-				for _, p := range dirtyReads {
-					println("   dirty read:", p)
-				}
-			}
 			var fresh *groundRun
 			var err error
 			if constraint {

@@ -9,25 +9,24 @@ import (
 	"repro/internal/core"
 )
 
-// RunCluster executes the distributed Follow-the-Sun negotiation on the
-// concurrent cluster runtime: every round's matched links — pairwise
-// node-disjoint by construction — negotiate concurrently on the worker
-// pool, with the epoch barrier replaying their messages in link order. In
-// simulation mode the run is byte-identical to Run at any worker count
-// (objectives, per-link solver traces, and per-node wire counters all
-// match; TestClusterEquivalence pins this). o.Latency is overridden by
-// p.LinkLatency.
+// RunCluster executes the distributed Follow-the-Sun negotiation to
+// completion; it is the package's only experiment runner. Every round's
+// matched links — pairwise node-disjoint by construction — negotiate
+// concurrently on the worker pool, with the epoch barrier replaying their
+// messages in link order. In simulation mode the run is the same at any worker
+// count (objectives, per-link solver traces, and per-node wire counters), and
+// TestClusterEquivalence pins it to fingerprints recorded from the sequential
+// loop it replaced. o.Latency is overridden by p.LinkLatency.
 func RunCluster(p Params, o cluster.Options) (*Result, error) {
 	o.Latency = p.LinkLatency
 	rt := cluster.New(o)
 	defer rt.Close()
 	r := &runner{
-		p:     p,
-		rng:   rand.New(rand.NewSource(p.Seed)),
-		rt:    rt,
-		nodes: map[string]*core.Node{},
-		comm:  map[string]map[string]int64{},
-		mig:   map[string]int64{},
+		p:    p,
+		rng:  rand.New(rand.NewSource(p.Seed)),
+		rt:   rt,
+		comm: map[string]map[string]int64{},
+		mig:  map[string]int64{},
 	}
 	if err := r.setup(); err != nil {
 		return nil, err
@@ -41,7 +40,9 @@ func RunCluster(p Params, o cluster.Options) (*Result, error) {
 	round := 0
 	for len(pending) > 0 {
 		round++
-		r.advance(p.NegotiationInterval)
+		// Advance virtual time by one negotiation interval and let the
+		// network drain.
+		rt.Advance(p.NegotiationInterval)
 
 		var left [][2]string
 		matched := matchRound(pending, &left)
@@ -63,12 +64,17 @@ func RunCluster(p Params, o cluster.Options) (*Result, error) {
 		if _, err := rt.RunEpoch(items); err != nil {
 			return nil, err
 		}
-		// Fold outcomes sequentially in link order, exactly as Run does.
+		// Fold outcomes sequentially in link order.
 		for i, lk := range matched {
 			r.fold(lk[0], lk[1], sress[i], elapsed[i])
 		}
 		pending = left
-		r.finishRound(res, round)
+		// Settle the network and sample the Figure 4 series.
+		rt.Advance(500 * time.Millisecond)
+		res.Points = append(res.Points, CostPoint{
+			T:    rt.Now(),
+			Cost: 100 * r.totalCost() / res.InitialCost,
+		})
 		if round > 10*len(r.links)+10 {
 			return nil, fmt.Errorf("followsun: negotiation did not converge after %d rounds", round)
 		}

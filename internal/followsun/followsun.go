@@ -17,7 +17,6 @@ import (
 	"repro/internal/colog"
 	"repro/internal/core"
 	"repro/internal/programs"
-	"repro/internal/sim"
 	"repro/internal/solver"
 	"repro/internal/transport"
 )
@@ -106,7 +105,7 @@ type Result struct {
 	PerLinkSolves   int
 	MeanSolveTime   time.Duration
 	// SolverNodes sums the search nodes over every per-link solve; the
-	// cluster equivalence suite compares it exactly against sequential runs.
+	// cluster equivalence suite compares it exactly against recorded runs.
 	SolverNodes int64
 	// WireStats holds each data center's transport counters at the end of
 	// the run (the Figure 5 per-node overhead, unnormalized).
@@ -116,10 +115,7 @@ type Result struct {
 type runner struct {
 	p      Params
 	rng    *rand.Rand
-	sched  *sim.Scheduler   // sequential mode (nil when rt drives time)
-	tr     *transport.Sim   // sequential mode transport
-	rt     *cluster.Runtime // cluster mode (nil in sequential runs)
-	nodes  map[string]*core.Node
+	rt     *cluster.Runtime
 	names  []string
 	links  [][2]string // undirected, stored with larger name first (initiator)
 	adj    map[string][]string
@@ -130,88 +126,6 @@ type runner struct {
 	solves int
 	snodes int64
 	stime  time.Duration
-}
-
-// advance moves virtual time forward on whichever engine drives the run.
-func (r *runner) advance(d time.Duration) {
-	if r.rt != nil {
-		r.rt.Advance(d)
-		return
-	}
-	r.sched.Run(r.sched.Now() + d)
-}
-
-// now returns the current virtual time (wall-clock elapsed under a UDP
-// cluster).
-func (r *runner) now() time.Duration {
-	if r.rt != nil {
-		return r.rt.Now()
-	}
-	return r.sched.Now()
-}
-
-// node returns the live instance for name: through the cluster runtime
-// when it drives the run — a restarted node is a fresh instance, so the
-// setup-time cache would go stale across failure injection — and from the
-// cache in sequential mode.
-func (r *runner) node(name string) *core.Node {
-	if r.rt != nil {
-		return r.rt.Node(name)
-	}
-	return r.nodes[name]
-}
-
-// wire returns one node's transport counters.
-func (r *runner) wire(name string) transport.Stats {
-	if r.rt != nil {
-		return r.rt.Transport().NodeStats(name)
-	}
-	return r.tr.NodeStats(name)
-}
-
-// Run executes the distributed Follow-the-Sun negotiation to completion.
-func Run(p Params) (*Result, error) {
-	r := &runner{
-		p:     p,
-		rng:   rand.New(rand.NewSource(p.Seed)),
-		sched: sim.NewScheduler(),
-		nodes: map[string]*core.Node{},
-		comm:  map[string]map[string]int64{},
-		mig:   map[string]int64{},
-	}
-	r.tr = transport.NewSim(r.sched, p.LinkLatency)
-	if err := r.setup(); err != nil {
-		return nil, err
-	}
-
-	res := &Result{}
-	res.InitialCost = r.totalCost()
-	res.Points = append(res.Points, CostPoint{0, 100})
-
-	pending := append([][2]string(nil), r.links...)
-	round := 0
-	for len(pending) > 0 {
-		round++
-		// Advance virtual time by one negotiation interval and let the
-		// network drain.
-		r.advance(p.NegotiationInterval)
-
-		// Each node initiates at most one negotiation per round; a node
-		// already involved in a negotiation this round is skipped.
-		var left [][2]string
-		for _, lk := range matchRound(pending, &left) {
-			if _, err := r.negotiate(lk[0], lk[1]); err != nil {
-				return nil, err
-			}
-		}
-		pending = left
-		r.finishRound(res, round)
-		if round > 10*len(r.links)+10 {
-			return nil, fmt.Errorf("followsun: negotiation did not converge after %d rounds", round)
-		}
-	}
-	r.finalize(res, round)
-	return res, nil
 }
 
 // matchRound selects the links negotiating this round — each node
@@ -233,21 +147,12 @@ func matchRound(pending [][2]string, left *[][2]string) [][2]string {
 	return matched
 }
 
-// finishRound settles the network and samples the Figure 4 series.
-func (r *runner) finishRound(res *Result, round int) {
-	r.advance(500 * time.Millisecond)
-	res.Points = append(res.Points, CostPoint{
-		T:    r.now(),
-		Cost: 100 * r.totalCost() / res.InitialCost,
-	})
-}
-
-// finalize fills the summary metrics shared by Run and RunCluster.
+// finalize fills the summary metrics once the last round has settled.
 func (r *runner) finalize(res *Result, rounds int) {
 	res.Rounds = rounds
 	res.FinalCost = 100 * r.totalCost() / res.InitialCost
 	res.ReductionPct = 100 - res.FinalCost
-	res.ConvergenceTime = r.now()
+	res.ConvergenceTime = r.rt.Now()
 	res.TotalMigrations = r.moved
 	res.PerLinkSolves = r.solves
 	res.SolverNodes = r.snodes
@@ -255,10 +160,10 @@ func (r *runner) finalize(res *Result, rounds int) {
 		res.MeanSolveTime = r.stime / time.Duration(r.solves)
 	}
 	res.WireStats = map[string]transport.Stats{}
-	secs := r.now().Seconds()
+	secs := r.rt.Now().Seconds()
 	total := 0.0
 	for _, name := range r.names {
-		st := r.wire(name)
+		st := r.rt.Transport().NodeStats(name)
 		res.WireStats[name] = st
 		total += float64(st.BytesSent)
 	}
@@ -337,37 +242,19 @@ func (r *runner) setup() error {
 		cfg.SolverWarmStart = p.SolverWarmStart
 		return cfg
 	}
-	if r.rt != nil {
-		specs := make([]cluster.NodeSpec, len(r.names))
-		for i, name := range r.names {
-			specs[i] = cluster.NodeSpec{Addr: name, Program: ares, Config: mkConfig()}
-		}
-		if err := r.rt.SpawnAll(specs); err != nil {
-			return err
-		}
-		for _, name := range r.names {
-			r.nodes[name] = r.rt.Node(name)
-		}
-	} else {
-		cfg := mkConfig()
-		prog, err := core.Compile(ares, cfg.Keys, cfg.Events)
-		if err != nil {
-			return err
-		}
-		for _, name := range r.names {
-			node, err := prog.NewNode(name, cfg, r.tr)
-			if err != nil {
-				return err
-			}
-			r.nodes[name] = node
-		}
+	specs := make([]cluster.NodeSpec, len(r.names))
+	for i, name := range r.names {
+		specs[i] = cluster.NodeSpec{Addr: name, Program: ares, Config: mkConfig()}
+	}
+	if err := r.rt.SpawnAll(specs); err != nil {
+		return err
 	}
 	// Facts. With SparseDemands, each center hosts allocations only for
 	// itself and its direct neighbors (hostSet) and negotiates only its own
 	// demand (the dc rows); the dense default is the paper's all-pairs
 	// universe.
 	for _, x := range r.names {
-		node := r.nodes[x]
+		node := r.rt.Node(x)
 		r.comm[x] = map[string]int64{}
 		for v := -p.DemandMax; v <= p.DemandMax; v++ {
 			if err := node.Insert("migRange", colog.IntVal(v)); err != nil {
@@ -410,7 +297,7 @@ func (r *runner) setup() error {
 		mc := p.MigCostMin + r.rng.Int63n(p.MigCostMax-p.MigCostMin+1)
 		r.mig[x+"|"+y], r.mig[y+"|"+x] = mc, mc
 		for _, pair := range [][2]string{{x, y}, {y, x}} {
-			node := r.nodes[pair[0]]
+			node := r.rt.Node(pair[0])
 			if err := node.Insert("link", colog.StringVal(pair[0]), colog.StringVal(pair[1])); err != nil {
 				return err
 			}
@@ -420,7 +307,7 @@ func (r *runner) setup() error {
 		}
 	}
 	// Let the shipping rules replicate initial state.
-	r.advance(time.Second)
+	r.rt.Advance(time.Second)
 	return nil
 }
 
@@ -431,23 +318,12 @@ func (r *runner) capOrHuge() int64 {
 	return 1 << 30
 }
 
-// negotiate runs one per-link COP and folds the outcome into the run
-// totals, returning the solve result for statistics.
-func (r *runner) negotiate(x, y string) (*core.SolveResult, error) {
-	sres, elapsed, err := r.negotiateSolve(x, y)
-	if err != nil {
-		return nil, err
-	}
-	r.fold(x, y, sres, elapsed)
-	return sres, nil
-}
-
 // negotiateSolve does the node-local part of one negotiation at the
 // initiator (the larger address, per the paper's protocol footnote). It
 // touches only node x, so negotiations of node-disjoint links can run
 // concurrently under the cluster runtime.
 func (r *runner) negotiateSolve(x, y string) (*core.SolveResult, time.Duration, error) {
-	node := r.node(x)
+	node := r.rt.Node(x)
 	if err := node.Insert("setLink", colog.StringVal(x), colog.StringVal(y)); err != nil {
 		return nil, 0, err
 	}
@@ -515,7 +391,7 @@ func (r *runner) fold(x, y string, sres *core.SolveResult, elapsed time.Duration
 func (r *runner) totalCost() float64 {
 	total := float64(r.migSum)
 	for _, x := range r.names {
-		node := r.node(x)
+		node := r.rt.Node(x)
 		for _, row := range node.Rows("curVm") {
 			if row[0].S != x {
 				continue

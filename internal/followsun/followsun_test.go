@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 func tinyParams(n int) Params {
@@ -16,7 +18,7 @@ func tinyParams(n int) Params {
 }
 
 func TestTwoDCsReduceCost(t *testing.T) {
-	res, err := Run(tinyParams(2))
+	res, err := RunCluster(tinyParams(2), cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestCostMonotonicallyImproves(t *testing.T) {
 	// objective, so the normalized series should never rise much above its
 	// running minimum (small transients allowed while tuples are in
 	// flight).
-	res, err := Run(tinyParams(4))
+	res, err := RunCluster(tinyParams(4), cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestCostMonotonicallyImproves(t *testing.T) {
 }
 
 func TestAllLinksNegotiated(t *testing.T) {
-	res, err := Run(tinyParams(4))
+	res, err := RunCluster(tinyParams(4), cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestAllLinksNegotiated(t *testing.T) {
 }
 
 func TestBandwidthMeasured(t *testing.T) {
-	res, err := Run(tinyParams(3))
+	res, err := RunCluster(tinyParams(3), cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +81,12 @@ func TestBandwidthMeasured(t *testing.T) {
 
 func TestMigrationCapReducesMigrations(t *testing.T) {
 	p := tinyParams(3)
-	free, err := Run(p)
+	free, err := RunCluster(p, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.MaxMigrates = 1
-	capped, err := Run(p)
+	capped, err := RunCluster(p, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +98,11 @@ func TestMigrationCapReducesMigrations(t *testing.T) {
 func TestDeterministicRun(t *testing.T) {
 	p := tinyParams(3)
 	p.SolverMaxTime = 0 // node budget only, for determinism
-	a, err := Run(p)
+	a, err := RunCluster(p, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(p)
+	b, err := RunCluster(p, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ const followsunTrace = "cost=32.242990654205606 mig=13 nodes=396 series=f768d282
 func TestEngineEquivalence(t *testing.T) {
 	p := tinyParams(3)
 	p.SolverMaxTime = 0 // only the deterministic node budget binds
-	res, err := Run(p)
+	res, err := RunCluster(p, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +147,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 		p := tinyParams(4)
 		p.SolverMaxTime = 0 // only the deterministic node budget binds
 		p.SolverIncremental = incremental
-		res, err := Run(p)
+		res, err := RunCluster(p, cluster.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,24 +26,12 @@ func ScaledGridParams(w, h int) Params {
 	return p
 }
 
-// RunCluster evaluates one protocol with the distributed negotiation
-// executed on the cluster runtime. Each negotiation depends on the
-// replicated outcome of the previous one (the network settles between
-// them), so the equivalent cluster schedule is one item per epoch — the
-// run is byte-identical to Run (assignments, solver traces, per-node wire
-// counters; TestClusterEquivalence pins it). For concurrent negotiation at
-// scale, see RunClusterWaves. Protocols without a distributed component
-// fall through to Run.
-func RunCluster(p Params, proto Protocol, o cluster.Options) (*Result, error) {
-	if proto != Distributed && proto != CrossLayer {
-		return Run(p, proto)
-	}
-	return run(p, proto, &o)
-}
-
-// distributedAssignmentCluster is distributedAssignment on the cluster
-// runtime, with the same negotiation schedule.
-func distributedAssignmentCluster(t *Topology, p Params, res *Result, o cluster.Options) (Assignment, error) {
+// distributedAssignment runs the appendix A.3 per-link negotiation on the
+// cluster runtime: every link is negotiated by its larger endpoint, the
+// decided channel propagates to the neighbor (rule r1) and into the
+// two-hop neighborhood (rule r2), and subsequent negotiations solve against
+// that replicated state.
+func distributedAssignment(t *Topology, p Params, res *Result, o cluster.Options) (Assignment, error) {
 	rt, err := newDistributedCluster(t, p, o)
 	if err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ import (
 	"repro/internal/colog"
 	"repro/internal/core"
 	"repro/internal/programs"
-	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -129,15 +128,16 @@ type Result struct {
 	AggMsgs, AggBytes int64
 }
 
-// Run evaluates one protocol across the configured rate sweep.
-func Run(p Params, proto Protocol) (*Result, error) {
-	return run(p, proto, nil)
-}
-
-// run is the shared harness: the distributed protocols produce their
-// assignment either on the sequential loop (co == nil) or on the cluster
-// runtime.
-func run(p Params, proto Protocol, co *cluster.Options) (*Result, error) {
+// RunCluster evaluates one protocol across the configured rate sweep; it is
+// the package's only experiment runner for the Figure 6/7 protocols. The
+// distributed negotiation runs on the cluster runtime. Each negotiation
+// depends on the replicated outcome of the previous one (the network settles
+// between them), so its cluster schedule is one item per epoch.
+// TestClusterEquivalence pins the run (assignments, solver traces, per-node
+// wire counters) to fingerprints recorded from the sequential loop it
+// replaced. For concurrent negotiation at scale, see RunClusterWaves. The
+// other protocols solve on at most one Colog instance and ignore o.
+func RunCluster(p Params, proto Protocol, o cluster.Options) (*Result, error) {
 	topo := Grid(p.GridW, p.GridH)
 	rng := rand.New(rand.NewSource(p.Seed))
 	if p.RestrictedChannels {
@@ -157,11 +157,7 @@ func run(p Params, proto Protocol, co *cluster.Options) (*Result, error) {
 	case Centralized:
 		assign, err = centralizedAssignment(topo, p, res)
 	case Distributed, CrossLayer:
-		if co != nil {
-			assign, err = distributedAssignmentCluster(topo, p, res, *co)
-		} else {
-			assign, err = distributedAssignment(topo, p, res)
-		}
+		assign, err = distributedAssignment(topo, p, res, o)
 	default:
 		return nil, fmt.Errorf("wireless: unknown protocol %d", proto)
 	}
@@ -308,74 +304,6 @@ func centralizedAssignment(t *Topology, p Params, res *Result) (Assignment, erro
 	return a, nil
 }
 
-// distributedAssignment runs the appendix A.3 per-link negotiation over the
-// simulated network: every link is negotiated by its larger endpoint, the
-// decided channel propagates to the neighbor (rule r1) and into the two-hop
-// neighborhood (rule r2), and subsequent negotiations solve against that
-// replicated state.
-func distributedAssignment(t *Topology, p Params, res *Result) (Assignment, error) {
-	sched := sim.NewScheduler()
-	tr := transport.NewSim(sched, 2*time.Millisecond)
-	entry := programs.WirelessDistributed(p.FMindiff, p.TwoHopCost)
-	cfg := distributedConfig(p, entry)
-	prog, err := core.Compile(entry.Analyze(), cfg.Keys, cfg.Events)
-	if err != nil {
-		return nil, err
-	}
-	nodes := map[NodeID]*core.Node{}
-	for _, n := range t.Nodes {
-		node, err := prog.NewNode(string(n), cfg, tr)
-		if err != nil {
-			return nil, err
-		}
-		nodes[n] = node
-	}
-	for _, n := range t.Nodes {
-		if err := seedWirelessNode(nodes[n], t, p, n); err != nil {
-			return nil, err
-		}
-	}
-	sched.Run(sched.Now() + time.Second)
-
-	prev := Assignment{}
-	for pass := 0; pass < maxInt(1, p.Passes); pass++ {
-		for _, l := range passOrder(t, p, pass) {
-			initiator, peer := initiatorOf(l)
-			node := nodes[initiator]
-			if err := node.Insert("setLink", colog.StringVal(string(initiator)), colog.StringVal(string(peer))); err != nil {
-				return nil, err
-			}
-			sres, err := node.Solve(core.SolveOptions{})
-			if err != nil {
-				return nil, fmt.Errorf("wireless: negotiating %s: %w", l, err)
-			}
-			res.SolverNodes += sres.Stats.Nodes
-			if err := node.Delete("setLink", colog.StringVal(string(initiator)), colog.StringVal(string(peer))); err != nil {
-				return nil, err
-			}
-			sched.Run(sched.Now() + p.NegotiationInterval)
-		}
-		cur := collectAssignment(t, nodes)
-		if pass > 0 && sameAssignment(prev, cur) {
-			break
-		}
-		prev = cur
-	}
-	res.Convergence = sched.Now()
-	res.WireStats = map[string]transport.Stats{}
-	secs := sched.Now().Seconds()
-	total := 0.0
-	for _, n := range t.Nodes {
-		st := tr.NodeStats(string(n))
-		res.WireStats[string(n)] = st
-		total += float64(st.BytesSent)
-	}
-	if secs > 0 {
-		res.PerNodeKBps = total / secs / float64(len(t.Nodes)) / 1024
-	}
-	return collectAssignment(t, nodes), nil
-}
-
 // distributedConfig assembles the per-node engine configuration of the
 // distributed protocol.
 func distributedConfig(p Params, entry programs.Entry) core.Config {
@@ -491,7 +419,7 @@ func maxInt(a, b int) int {
 func RateSweep(p Params) (map[Protocol]*Result, error) {
 	out := map[Protocol]*Result{}
 	for _, proto := range []Protocol{OneInterface, IdenticalCh, Centralized, Distributed, CrossLayer} {
-		r, err := Run(p, proto)
+		r, err := RunCluster(p, proto, cluster.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("wireless: %s: %w", proto, err)
 		}

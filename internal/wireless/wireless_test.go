@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 func tinyParams() Params {
@@ -126,7 +128,7 @@ func TestThroughputModelMonotoneInChannelDiversity(t *testing.T) {
 }
 
 func TestRunOneInterface(t *testing.T) {
-	res, err := Run(tinyParams(), OneInterface)
+	res, err := RunCluster(tinyParams(), OneInterface, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +144,11 @@ func TestRunOneInterface(t *testing.T) {
 
 func TestRunCentralizedBeatsOneInterface(t *testing.T) {
 	p := tinyParams()
-	one, err := Run(p, OneInterface)
+	one, err := RunCluster(p, OneInterface, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cent, err := Run(p, Centralized)
+	cent, err := RunCluster(p, Centralized, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,7 @@ func TestRunCentralizedBeatsOneInterface(t *testing.T) {
 
 func TestRunDistributed(t *testing.T) {
 	p := tinyParams()
-	res, err := Run(p, Distributed)
+	res, err := RunCluster(p, Distributed, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,7 @@ func TestRunDistributed(t *testing.T) {
 	if res.PerNodeKBps <= 0 {
 		t.Fatal("no bandwidth recorded")
 	}
-	one, err := Run(p, OneInterface)
+	one, err := RunCluster(p, OneInterface, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +189,11 @@ func TestRunDistributed(t *testing.T) {
 
 func TestRunCrossLayerAtLeastDistributed(t *testing.T) {
 	p := tinyParams()
-	dist, err := Run(p, Distributed)
+	dist, err := RunCluster(p, Distributed, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cross, err := Run(p, CrossLayer)
+	cross, err := RunCluster(p, CrossLayer, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +206,12 @@ func TestRunCrossLayerAtLeastDistributed(t *testing.T) {
 
 func TestRestrictedChannelsReduceThroughput(t *testing.T) {
 	p := tinyParams()
-	base, err := Run(p, CrossLayer)
+	base, err := RunCluster(p, CrossLayer, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.RestrictedChannels = true
-	restricted, err := Run(p, CrossLayer)
+	restricted, err := RunCluster(p, CrossLayer, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,12 +268,12 @@ func TestRateSweepAllProtocols(t *testing.T) {
 
 func TestIdenticalChUsesTwoChannels(t *testing.T) {
 	p := tinyParams()
-	res, err := Run(p, IdenticalCh)
+	res, err := RunCluster(p, IdenticalCh, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Identical-Ch must sit between 1-Interface and Distributed.
-	one, err := Run(p, OneInterface)
+	one, err := RunCluster(p, OneInterface, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +302,7 @@ func TestEngineEquivalence(t *testing.T) {
 	for _, proto := range []Protocol{Centralized, Distributed} {
 		p := tinyParams()
 		p.SolverMaxTime = 0 // only the deterministic node budget binds
-		res, err := Run(p, proto)
+		res, err := RunCluster(p, proto, cluster.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +326,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 			p := tinyParams()
 			p.SolverMaxTime = 0 // only the deterministic node budget binds
 			p.SolverIncremental = incremental
-			res, err := Run(p, proto)
+			res, err := RunCluster(p, proto, cluster.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
