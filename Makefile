@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-json bench-diff fuzz fuzz-wire fuzz-wal fuzz-churn fuzz-rollup wal-torture bench-smoke-repo lint docs-check recovery-equivalence streaming-equivalence serving-soak alloc-budget shard-equivalence shard-smoke sharded-10k figures-smoke ci
+.PHONY: build test bench bench-json bench-diff fuzz fuzz-wire fuzz-wal fuzz-churn fuzz-rollup wal-torture bench-smoke-repo lint docs-check recovery-equivalence streaming-equivalence plan-equivalence serving-soak alloc-budget shard-equivalence shard-smoke sharded-10k figures-smoke ci
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,13 @@ recovery-equivalence:
 streaming-equivalence:
 	$(GO) test -count=1 -run 'TestStreamingGroundEquivalence' ./internal/core
 
+# The plan-equivalence gate: every delta and ground plan the one
+# compile-time planner (planBody) builds for the bundled programs must match
+# the orders and bound columns recorded from the planners it replaced in
+# internal/core/testdata/plans.golden.
+plan-equivalence:
+	$(GO) test -count=1 -run 'TestPlansMatchRecorded' ./internal/core
+
 # The serving-soak gate: thousands of random churn events through the
 # serving runtime per scenario, with randomized batching and injected
 # deadline pressure; at every quiescent point the serving node must be
@@ -158,6 +165,7 @@ ci: lint build test docs-check bench-smoke-repo figures-smoke
 	$(GO) test -count=1 -run 'TestEnginesMatchBruteForce|TestEventEngineTraceMatchesLegacy' ./internal/solver
 	$(GO) test -count=1 -run 'TestIncrementalGroundEquivalence' ./internal/core
 	$(GO) test -count=1 -run 'TestStreamingGroundEquivalence' ./internal/core
+	$(GO) test -count=1 -run 'TestPlansMatchRecorded' ./internal/core
 	$(GO) test -count=1 -run 'TestGroundAllocBudget|TestSpawnAllocBudget' .
 	$(GO) test -count=1 -run 'TestClusterEquivalence' ./internal/acloud ./internal/followsun ./internal/wireless
 	$(GO) test -race -count=1 -run TestClusterEquivalence ./internal/followsun ./internal/wireless

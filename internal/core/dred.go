@@ -27,8 +27,9 @@ import (
 // dependency graph that contains a cycle.
 type recursiveGroup struct {
 	preds map[string]bool
-	rules []int // indices into res.Program.Rules with head in the group
-	local bool  // false: distributed recursion, counting fallback
+	rules []int   // indices into res.Program.Rules with head in the group
+	plans []*plan // local groups: recompute plans, parallel to rules
+	local bool    // false: distributed recursion, counting fallback
 }
 
 // buildRecursiveGroups finds cyclic SCCs among regular derivation rules.
@@ -142,8 +143,9 @@ func ruleSingleSite(r *colog.Rule) bool {
 	return len(locs) <= 1
 }
 
-// initDred derives the recursive-group metadata of the program.
-func (p *Program) initDred() {
+// initDred derives the recursive-group metadata of the program and
+// compiles a recompute plan for every rule of a local group.
+func (p *Program) initDred() error {
 	p.groups = p.buildRecursiveGroups()
 	p.groupOfHead = map[int]int{}
 	p.feedsGroup = map[string][]int{}
@@ -153,13 +155,22 @@ func (p *Program) initDred() {
 		}
 		for _, ri := range g.rules {
 			p.groupOfHead[ri] = gi
-			for _, l := range p.res.Program.Rules[ri].Body {
+			r := p.res.Program.Rules[ri]
+			for _, l := range r.Body {
 				if al, ok := l.(*colog.AtomLit); ok {
 					p.feedsGroup[al.Atom.Pred] = append(p.feedsGroup[al.Atom.Pred], gi)
 				}
 			}
+			rp, err := compilePlan(r, ri, p.slots[ri], nil)
+			if err != nil {
+				return err
+			}
+			rp.id = p.nplans
+			p.nplans++
+			g.plans = append(g.plans, rp)
 		}
 	}
+	return nil
 }
 
 // markDirtyFor flags the groups affected by a deletion of pred.
@@ -191,32 +202,21 @@ func (n *Node) recomputeGroup(gi int) error {
 			}
 		}
 	}
-	rowsOf := func(pred string) [][]colog.Value {
-		if m, in := work[pred]; in {
-			out := make([][]colog.Value, 0, len(m))
-			for _, v := range m {
-				out = append(out, v)
-			}
-			return out
-		}
-		if t := n.tables[pred]; t != nil {
-			return t.snapshotUnordered()
-		}
-		return nil
-	}
-	// Naive fixpoint.
+	// Naive fixpoint: each rule's recompute plan reads the group's
+	// predicates from the working rows.
+	rc := &recompute{work: work}
 	for changed := true; changed; {
 		changed = false
-		for _, ri := range g.rules {
-			rule := n.prog.res.Program.Rules[ri]
-			derived, err := n.evalRuleGround(ri, rowsOf)
-			if err != nil {
+		for _, p := range g.plans {
+			rc.out = rc.out[:0]
+			if err := n.runRecompute(p, rc); err != nil {
 				return err
 			}
-			for _, vals := range derived {
+			head := work[p.rule.Head.Pred]
+			for _, vals := range rc.out {
 				k := valsKey(vals)
-				if _, ok := work[rule.Head.Pred][k]; !ok {
-					work[rule.Head.Pred][k] = vals
+				if _, ok := head[k]; !ok {
+					head[k] = vals
 					changed = true
 				}
 			}
@@ -281,128 +281,30 @@ func (n *Node) recomputeGroup(gi int) error {
 	return nil
 }
 
-// evalRuleGround enumerates all ground derivations of a regular rule over
-// the provided row source, returning the head tuples (used by the
-// recompute fixpoint; no aggregates — analysis rejects recursion through
-// aggregates).
-func (n *Node) evalRuleGround(ri int, rowsOf func(string) [][]colog.Value) ([][]colog.Value, error) {
-	rule := n.prog.res.Program.Rules[ri]
-	slots := n.prog.slots[ri]
-	var out [][]colog.Value
-	label := ruleName(rule)
-	type item struct {
-		lit  colog.Literal
-		done bool
-	}
-	lits := make([]item, len(rule.Body))
-	for i, l := range rule.Body {
-		lits[i] = item{lit: l}
-	}
-	var rec func(env map[string]colog.Value, left int) error
-	rec = func(env map[string]colog.Value, left int) error {
-		if left == 0 {
-			vals := make([]colog.Value, len(rule.Head.Args))
-			for i, arg := range rule.Head.Args {
-				v, err := evalGround(arg, mapEnv(env))
-				if err != nil {
-					return everrf(label, "head arg %d: %v", i, err)
-				}
-				vals[i] = v
-			}
-			out = append(out, vals)
-			return nil
-		}
-		// Ready expressions first, then any atom.
-		pick := -1
-		for i := range lits {
-			if lits[i].done {
-				continue
-			}
-			switch x := lits[i].lit.(type) {
-			case *colog.CondLit:
-				if _, _, ok := bindableEq(x.Expr, envVars(slots, env)); ok || termBound(x.Expr, mapEnv(env)) {
-					pick = i
-				}
-			case *colog.AssignLit:
-				if termBound(x.Expr, mapEnv(env)) {
-					pick = i
-				}
-			}
-			if pick >= 0 {
-				break
-			}
-		}
-		if pick < 0 {
-			for i := range lits {
-				if !lits[i].done {
-					if _, ok := lits[i].lit.(*colog.AtomLit); ok {
-						pick = i
-						break
-					}
-				}
-			}
-		}
-		if pick < 0 {
-			return everrf(label, "cannot order literals during recompute")
-		}
-		lits[pick].done = true
-		defer func() { lits[pick].done = false }()
-		switch x := lits[pick].lit.(type) {
-		case *colog.AtomLit:
-			for _, rowVals := range rowsOf(x.Atom.Pred) {
-				env2 := cloneEnv(env)
-				if matchAtom(x.Atom, rowVals, env2) {
-					if err := rec(env2, left-1); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		case *colog.CondLit:
-			if name, expr, ok := bindableEq(x.Expr, envVars(slots, env)); ok {
-				v, err := evalGround(expr, mapEnv(env))
-				if err != nil {
-					return everrf(label, "%v", err)
-				}
-				env2 := cloneEnv(env)
-				env2[name] = v
-				return rec(env2, left-1)
-			}
-			v, err := evalGround(x.Expr, mapEnv(env))
-			if err != nil {
-				return everrf(label, "%v", err)
-			}
-			if v.Kind != colog.KindBool {
-				return everrf(label, "condition %s non-boolean", x.Expr)
-			}
-			if !v.B {
-				return nil
-			}
-			return rec(env, left-1)
-		case *colog.AssignLit:
-			v, err := evalGround(x.Expr, mapEnv(env))
-			if err != nil {
-				return everrf(label, "%v", err)
-			}
-			env2 := cloneEnv(env)
-			env2[x.Var] = v
-			return rec(env2, left-1)
-		}
-		return everrf(label, "unknown literal")
-	}
-	if err := rec(map[string]colog.Value{}, len(lits)); err != nil {
-		return nil, err
-	}
-	return out, nil
+// recompute is the row source and sink of a recompute plan run: joins over
+// the group's predicates scan the working rows instead of the tables, and
+// derived head tuples are collected instead of routed.
+type recompute struct {
+	work map[string]map[string][]colog.Value // pred -> key -> vals
+	out  [][]colog.Value
 }
 
-// envVars is the set of variables a map environment binds.
-func envVars(slots *ruleSlots, env map[string]colog.Value) varSet {
-	vs := newVarSet(slots)
-	for name := range env {
-		if i, ok := slots.lookup(name); ok {
-			vs.in[i] = true
-		}
+// rows returns the working rows of a group predicate; ok is false outside
+// a recompute and for predicates the group does not own.
+func (rc *recompute) rows(pred string) (map[string][]colog.Value, bool) {
+	if rc == nil {
+		return nil, false
 	}
-	return vs
+	rows, ok := rc.work[pred]
+	return rows, ok
+}
+
+// runRecompute evaluates a recompute plan through the delta executor.
+func (n *Node) runRecompute(p *plan, rc *recompute) error {
+	run := n.planRun(p)
+	run.frame.reset()
+	run.rc = rc
+	err := n.execSteps(p, run, 0, delta{sign: +1})
+	run.rc = nil
+	return err
 }

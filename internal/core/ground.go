@@ -55,13 +55,15 @@ type varInstance struct {
 // constraints (paper sections 5.3-5.4).
 //
 // Grounding runs as an indexed, ordered pipeline: each rule body is planned
-// once per solve (literals ordered most-bound-first, joins resolved to
-// index probes), evaluated over a slice-backed binding frame with an undo
-// trail, and independent rules within a dependency level are grounded by a
-// bounded worker pool with results merged deterministically in rule order.
-// Joins consume tables directly through the persistent arrival-ordered
-// indexes and memoized scans, with compares pushed down into the row source
-// (see stream.go).
+// once per Program, in Compile (literals ordered most-bound-first, body
+// order on ties, joins resolved to index probes; see planBody). A ground
+// binds each plan's joins to this solve's rows (newGroundRun), evaluates it
+// over a slice-backed binding frame with an undo trail, and grounds
+// independent rules within a dependency level on a bounded worker pool
+// with results merged deterministically in rule order. Joins consume
+// tables directly through the persistent arrival-ordered indexes and
+// memoized scans, with compares pushed down into the row source (see
+// stream.go).
 type grounder struct {
 	n     *Node
 	model *solver.Model
@@ -88,7 +90,7 @@ func (g *grounder) invalidatePred(pred string) {
 }
 
 // unknownPredErr is the error for a body or goal predicate with no table,
-// surfaced at plan time.
+// surfaced by Compile.
 func unknownPredErr(pred string) error {
 	return fmt.Errorf("unknown predicate %s", pred)
 }
@@ -511,35 +513,13 @@ func (g *grounder) domainFor(vd *colog.VarDecl) (solver.Domain, error) {
 // serial run.
 func (g *grounder) deriveSolverRules() error {
 	rules := g.n.prog.res.Program.Rules
-	workers := g.n.groundWorkers()
 	for _, level := range g.n.prog.levels {
-		// Plans are built serially: they populate the shared row and index
-		// caches the workers then read without synchronization.
-		plans := make([]*groundPlan, len(level))
-		for i, ri := range level {
-			p, err := g.planGroundBody(ri, varSet{})
-			if err != nil {
-				return err
-			}
-			plans[i] = p
-		}
-		runs := make([]*groundRun, len(level))
-		errs := make([]error, len(level))
-		ground := func(i int) {
-			runs[i], errs[i] = g.groundRuleRun(rules[level[i]], plans[i])
-		}
-		if workers > 1 && len(level) > 1 {
-			runLimited(len(level), workers, ground)
-		} else {
-			for i := range level {
-				ground(i)
-			}
+		runs, err := g.groundRules(level)
+		if err != nil {
+			return err
 		}
 		// Deterministic merge in rule order.
 		for i, ri := range level {
-			if errs[i] != nil {
-				return errs[i]
-			}
 			head := rules[ri].Head.Pred
 			if len(runs[i].out) > 0 {
 				g.sym[head] = append(g.sym[head], runs[i].out...)
@@ -554,12 +534,43 @@ func (g *grounder) deriveSolverRules() error {
 	return nil
 }
 
-// groundRun is the per-rule evaluation state of one grounding: the binding
-// frame, the deferred constraint posts (so workers never mutate the model's
-// constraint store), the emitted head tuples, and (in recording mode) the
-// provenance recorder feeding the incremental grounding cache.
+// groundRules grounds independent solver rules, in parallel across a
+// bounded worker pool, and returns their runs in rule order. The runs are
+// bound serially first: binding populates the shared row and index caches
+// the workers then read without synchronization.
+func (g *grounder) groundRules(ris []int) ([]*groundRun, error) {
+	runs := make([]*groundRun, len(ris))
+	for i, ri := range ris {
+		runs[i] = g.newGroundRun(g.n.prog.ground[ri])
+	}
+	errs := make([]error, len(ris))
+	ground := func(i int) { errs[i] = g.runRule(runs[i]) }
+	if workers := g.n.groundWorkers(); workers > 1 && len(ris) > 1 {
+		runLimited(len(ris), workers, ground)
+	} else {
+		for i := range ris {
+			ground(i)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
+}
+
+// groundRun is the per-rule evaluation state of one grounding: the plan's
+// joins bound to this solve's rows, the binding frame, the head tuples a
+// constraint rule seeds from, the deferred constraint posts (so workers
+// never mutate the model's constraint store), the emitted head tuples, and
+// (in recording mode) the provenance recorder feeding the incremental
+// grounding cache.
 type groundRun struct {
+	plan  *groundPlan
+	src   []joinSrc // parallel to plan.steps
 	frame *symFrame
+	heads []symTuple
 	rec   *runRecorder
 	reqs  []*solver.Expr
 	out   []symTuple
@@ -567,11 +578,48 @@ type groundRun struct {
 
 func (r *groundRun) require(e *solver.Expr) { r.reqs = append(r.reqs, e) }
 
-// newGroundRun builds the evaluation state for one rule grounding,
-// attaching a provenance recorder (seeded with the plan's static join-column
-// taints) when the grounder is recording.
+// joinSrc is one join step's rows for one grounding. For a ground
+// predicate, scan is the table's arrival-order snapshot and gidx the
+// persistent index probed when the bound prefix is ground; for a solver
+// predicate, symRows/groundRows are the symbolic tuples and the unshadowed
+// materialized rows. provCache memoizes per-row provenance cells in
+// recording mode.
+type joinSrc struct {
+	scan       [][]colog.Value
+	gidx       *tableIndex
+	symRows    []symTuple
+	groundRows [][]colog.Value
+	provCache  map[string][]cellProv
+	provKeyBuf []byte
+}
+
+// newGroundRun binds a ground plan to the current rows: each join's
+// snapshot or index, a solver predicate's symbolic and ground rows, and a
+// constraint rule's head tuples. It attaches a provenance recorder (seeded
+// with the plan's static join-column taints) when the grounder is
+// recording. Runs must be bound serially.
 func (g *grounder) newGroundRun(p *groundPlan) *groundRun {
-	run := &groundRun{frame: newSymFrame(p.slots)}
+	run := &groundRun{plan: p, src: make([]joinSrc, len(p.steps)), frame: newSymFrame(p.slots)}
+	for i := range p.steps {
+		step := &p.steps[i]
+		if step.kind != stepJoin {
+			continue
+		}
+		src := &run.src[i]
+		if step.solver {
+			src.symRows = g.sym[step.atom.Pred]
+			src.groundRows = g.cachedGroundRows(step.atom.Pred)
+			continue
+		}
+		tbl := g.n.tables[step.atom.Pred]
+		src.scan = tbl.snapshotStable()
+		if len(step.boundCols) > 0 {
+			src.gidx = tbl.ensureIndexNamed(step.idxKey, step.boundCols)
+		}
+	}
+	if p.constraint {
+		run.heads = g.sym[p.rule.Head.Pred]
+	}
 	if g.recording {
 		run.rec = newRunRecorder()
 		run.rec.addPlanTaints(p)
@@ -580,15 +628,18 @@ func (g *grounder) newGroundRun(p *groundPlan) *groundRun {
 	return run
 }
 
-// groundRuleRun grounds one solver derivation rule over its compiled plan.
-func (g *grounder) groundRuleRun(rule *colog.Rule, p *groundPlan) (*groundRun, error) {
-	run := g.newGroundRun(p)
-	if rule.Head.HasAggregate() {
-		return run, g.collectAggregate(rule, p, run)
+// runRule grounds one solver rule over its bound run.
+func (g *grounder) runRule(run *groundRun) error {
+	p := run.plan
+	switch {
+	case p.constraint:
+		return g.groundConstraint(run)
+	case p.rule.Head.HasAggregate():
+		return g.collectAggregate(run)
 	}
-	err := g.execPlan(run, p, 0, func(f *symFrame) error {
-		st := make(symTuple, len(rule.Head.Args))
-		for i, arg := range rule.Head.Args {
+	return g.execPlan(run, 0, func(f *symFrame) error {
+		st := make(symTuple, len(p.rule.Head.Args))
+		for i, arg := range p.rule.Head.Args {
 			gv, err := g.evalSym(arg, f, p.label)
 			if err != nil {
 				return err
@@ -603,22 +654,22 @@ func (g *grounder) groundRuleRun(rule *colog.Rule, p *groundPlan) (*groundRun, e
 		run.out = append(run.out, st)
 		return nil
 	})
-	return run, err
 }
 
 // execPlan runs the ordered body steps from idx onward, invoking sink for
 // every complete binding. Join steps stream their rows (streamJoin);
 // bindings are trailed on the frame and undone per candidate row.
-func (g *grounder) execPlan(run *groundRun, p *groundPlan, idx int, sink func(*symFrame) error) error {
+func (g *grounder) execPlan(run *groundRun, idx int, sink func(*symFrame) error) error {
+	p := run.plan
 	if idx == len(p.steps) {
 		return sink(run.frame)
 	}
 	f := run.frame
 	step := &p.steps[idx]
 	switch step.kind {
-	case gJoin:
-		return g.streamJoin(run, p, idx, sink)
-	case gFilter:
+	case stepJoin:
+		return g.streamJoin(run, idx, sink)
+	case stepFilter:
 		gv, err := g.evalSym(step.cond, f, p.label)
 		if err != nil {
 			return err
@@ -633,7 +684,7 @@ func (g *grounder) execPlan(run *groundRun, p *groundPlan, idx int, sink func(*s
 			if !gv.val.B {
 				return nil // filtered out
 			}
-			return g.execPlan(run, p, idx+1, sink)
+			return g.execPlan(run, idx+1, sink)
 		}
 		// Symbolic selection: becomes a solver constraint scoped to this
 		// binding (selection-to-constraint compilation, paper section 5.3).
@@ -641,9 +692,9 @@ func (g *grounder) execPlan(run *groundRun, p *groundPlan, idx int, sink func(*s
 			return everrf(p.label, "condition %s is symbolic but not boolean", step.cond)
 		}
 		run.require(gv.sym)
-		return g.execPlan(run, p, idx+1, sink)
-	case gBind, gAssign:
-		gv, err := g.evalSym(step.rhs, f, p.label)
+		return g.execPlan(run, idx+1, sink)
+	case stepBind, stepAssign:
+		gv, err := g.evalSym(step.expr, f, p.label)
 		if err != nil {
 			return err
 		}
@@ -652,20 +703,20 @@ func (g *grounder) execPlan(run *groundRun, p *groundPlan, idx int, sink func(*s
 			// on backtrack instead of trailing a fresh binding.
 			prev := f.vals[step.slot]
 			f.vals[step.slot] = gv
-			err := g.execPlan(run, p, idx+1, sink)
+			err := g.execPlan(run, idx+1, sink)
 			f.vals[step.slot] = prev
 			return err
 		}
 		m := f.mark()
 		f.bind(step.slot, gv)
-		if err := g.execPlan(run, p, idx+1, sink); err != nil {
+		if err := g.execPlan(run, idx+1, sink); err != nil {
 			return err
 		}
 		f.undo(m)
 		return nil
-	case gReify:
+	case stepReify:
 		// Reified: (C==k)==(bool-expr)  =>  C := ITE(bool, k, other).
-		gv, err := g.evalSym(step.rhs, f, p.label)
+		gv, err := g.evalSym(step.expr, f, p.label)
 		if err != nil {
 			return err
 		}
@@ -674,7 +725,7 @@ func (g *grounder) execPlan(run *groundRun, p *groundPlan, idx int, sink func(*s
 			return err
 		}
 		if !be.IsBool() {
-			return everrf(p.label, "reified binding (%s==%d)==(%s): right side is not boolean", p.slots.names[step.slot], step.k, step.rhs)
+			return everrf(p.label, "reified binding (%s==%d)==(%s): right side is not boolean", step.bindVar, step.k, step.expr)
 		}
 		other := int64(0)
 		if step.k == 0 {
@@ -683,7 +734,7 @@ func (g *grounder) execPlan(run *groundRun, p *groundPlan, idx int, sink func(*s
 		ite := g.model.ITE(be, g.model.ConstInt(step.k), g.model.ConstInt(other))
 		m := f.mark()
 		f.bind(step.slot, gval{sym: ite})
-		if err := g.execPlan(run, p, idx+1, sink); err != nil {
+		if err := g.execPlan(run, idx+1, sink); err != nil {
 			return err
 		}
 		f.undo(m)
@@ -927,8 +978,8 @@ func (g *grounder) applySymBin(op colog.BinOp, l, r *solver.Expr, label string) 
 // aggregate expression per group (SUM -> solver.Sum, STDEV ->
 // solver.StdDev, ...) is emitted — the compilation of aggregations over
 // solver attributes described in section 5.3.
-func (g *grounder) collectAggregate(rule *colog.Rule, p *groundPlan, run *groundRun) error {
-	label := p.label
+func (g *grounder) collectAggregate(run *groundRun) error {
+	rule, label := run.plan.rule, run.plan.label
 	aggPos := -1
 	var aggTerm *colog.AggTerm
 	for i, arg := range rule.Head.Args {
@@ -945,7 +996,7 @@ func (g *grounder) collectAggregate(rule *colog.Rule, p *groundPlan, run *ground
 	}
 	groups := map[string]*group{}
 	var order []string
-	err := g.execPlan(run, p, 0, func(f *symFrame) error {
+	err := g.execPlan(run, 0, func(f *symFrame) error {
 		headVals := make([]gval, len(rule.Head.Args))
 		keyParts := ""
 		for i, arg := range rule.Head.Args {
@@ -1065,112 +1116,43 @@ func (g *grounder) buildAggExpr(fn colog.AggFunc, items []gval, label string, re
 // independent of each other: each rule runs on a worker with its
 // constraints buffered, merged in rule order afterwards.
 func (g *grounder) applyConstraintRules() error {
-	jobs := make([]*constraintJob, 0, len(g.n.prog.consIdx))
-	for _, ri := range g.n.prog.consIdx {
-		j, err := g.buildConstraintJob(ri, g.n.prog.res.Program.Rules[ri])
-		if err != nil {
-			return err
-		}
-		jobs = append(jobs, j)
+	runs, err := g.groundRules(g.n.prog.consIdx)
+	if err != nil {
+		return err
 	}
-
-	runs := make([]*groundRun, len(jobs))
-	errs := make([]error, len(jobs))
-	ground := func(i int) {
-		runs[i], errs[i] = g.runConstraintJob(jobs[i])
-	}
-	workers := g.n.groundWorkers()
-	if workers > 1 && len(jobs) > 1 {
-		runLimited(len(jobs), workers, ground)
-	} else {
-		for i := range jobs {
-			ground(i)
-		}
-	}
-	for i, j := range jobs {
-		if errs[i] != nil {
-			return errs[i]
-		}
+	for i, ri := range g.n.prog.consIdx {
 		for _, e := range runs[i].reqs {
 			g.model.Require(e)
 		}
-		g.noteCacheRun(j.ri, runs[i])
+		g.noteCacheRun(ri, runs[i])
 	}
 	return nil
 }
 
-// constraintJob is one solver constraint rule prepared for grounding: the
-// compiled head seeding plus the body plan.
-type constraintJob struct {
-	ri    int
-	rule  *colog.Rule
-	plan  *groundPlan
-	seed  []argOp
-	heads []symTuple
-}
-
-// buildConstraintJob compiles the head seeding — binding the head tuple's
-// values into the frame, with ground-equality checks for constants and
-// repeated variables — and plans the rule body.
-func (g *grounder) buildConstraintJob(ri int, rule *colog.Rule) (*constraintJob, error) {
-	label := ruleName(rule)
-	seedBound := newVarSet(g.n.prog.slots[ri])
-	seed := make([]argOp, len(rule.Head.Args))
-	for ai, arg := range rule.Head.Args {
-		switch t := arg.(type) {
-		case *colog.VarTerm:
-			slot, err := seedBound.slots.slot(t.Name)
-			if err != nil {
-				return nil, everrf(label, "%v", err)
-			}
-			if seedBound.in[slot] {
-				seed[ai] = argOp{kind: argCheck, slot: slot}
-			} else {
-				seed[ai] = argOp{kind: argBind, slot: slot}
-				seedBound.in[slot] = true
-			}
-		case *colog.ConstTerm:
-			seed[ai] = argOp{kind: argConst, val: t.Val}
-		default:
-			return nil, everrf(label, "unsupported head argument %s", arg)
-		}
-	}
-	plan, err := g.planGroundBody(ri, seedBound)
-	if err != nil {
-		return nil, err
-	}
-	return &constraintJob{ri: ri, rule: rule, plan: plan, seed: seed, heads: g.sym[rule.Head.Pred]}, nil
-}
-
-// runConstraintJob grounds one constraint rule: for every symbolic head
-// tuple, every body match must hold — expression literals become constraints
-// via the symbolic filter path, and symbolic matches in matchSymRow post
-// equality constraints.
-func (g *grounder) runConstraintJob(j *constraintJob) (*groundRun, error) {
-	run := g.newGroundRun(j.plan)
-	for _, st := range j.heads {
+// groundConstraint grounds one constraint rule: for every symbolic head
+// tuple, every body match must hold — expression literals become
+// constraints via the symbolic filter path, and symbolic matches in
+// matchSymRow post equality constraints.
+func (g *grounder) groundConstraint(run *groundRun) error {
+	for _, st := range run.heads {
 		run.frame.reset()
-		ok, err := g.seedHead(j.seed, st, run.frame)
-		if err != nil {
-			return run, err
-		}
-		if !ok {
+		if !seedHead(run.plan.seed, st, run.frame) {
 			continue
 		}
-		if err := g.execPlan(run, j.plan, 0, func(*symFrame) error { return nil }); err != nil {
-			return run, err
+		if err := g.execPlan(run, 0, func(*symFrame) error { return nil }); err != nil {
+			return err
 		}
 	}
-	return run, nil
+	return nil
 }
 
 // seedHead binds one symbolic head tuple into the frame for a constraint
 // rule. Constants and repeated variables must match ground values exactly;
 // any symbolic value at such a position skips the tuple (matching the seed
 // grounder's behavior).
-func (g *grounder) seedHead(seed []argOp, st symTuple, f *symFrame) (bool, error) {
+func seedHead(seed []argOp, st symTuple, f *symFrame) bool {
 	if len(seed) != len(st) {
-		return false, nil
+		return false
 	}
 	for i := range seed {
 		op := &seed[i]
@@ -1180,15 +1162,15 @@ func (g *grounder) seedHead(seed []argOp, st symTuple, f *symFrame) (bool, error
 		case argCheck:
 			prev := f.vals[op.slot]
 			if prev.isSym() || st[i].isSym() || !prev.val.Equal(st[i].val) {
-				return false, nil
+				return false
 			}
 		case argConst:
 			if st[i].isSym() || !op.val.Equal(st[i].val) {
-				return false, nil
+				return false
 			}
 		}
 	}
-	return true, nil
+	return true
 }
 
 // setGoal locates the objective among the grounded tuples and installs it.
@@ -1245,13 +1227,7 @@ func (g *grounder) computeGoal() (*solver.Expr, bool, error) {
 	// Symbolic tuples first, then the unshadowed ground rows: the order a
 	// streamed join enumerates the predicate in.
 	pred := goal.Atom.Pred
-	if _, err := g.relSize(pred); err != nil {
-		return nil, false, everrf("goal", "%v", err)
-	}
-	ground, err := g.cachedGroundRows(pred)
-	if err != nil {
-		return nil, false, everrf("goal", "%v", err)
-	}
+	ground := g.cachedGroundRows(pred)
 	rows := make([]symTuple, 0, len(g.sym[pred])+len(ground))
 	rows = append(rows, g.sym[pred]...)
 	for _, vals := range ground {

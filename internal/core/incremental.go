@@ -119,11 +119,11 @@ func (r *runRecorder) ref(e *solver.Expr, p *cellProv) {
 func (r *runRecorder) addPlanTaints(p *groundPlan) {
 	for si := range p.steps {
 		step := &p.steps[si]
-		if step.kind != gJoin {
+		if step.kind != stepJoin {
 			continue
 		}
-		for col := range step.ops {
-			switch step.ops[col].kind {
+		for col := range step.argOps {
+			switch step.argOps[col].kind {
 			case argCheck, argConst, argExpr:
 				r.taintCol(step.atom.Pred, col)
 			}
@@ -488,20 +488,8 @@ func (n *Node) groundIncremental(g *grounder, st *groundState) (*GroundInfo, boo
 		case !upstream && n.patchRun(st, run, dirtyReads, dirty, info):
 			info.RulesPatched++
 		default:
-			var fresh *groundRun
-			var err error
-			if constraint {
-				var job *constraintJob
-				if job, err = g.buildConstraintJob(ri, rule); err == nil {
-					fresh, err = g.runConstraintJob(job)
-				}
-			} else {
-				var plan *groundPlan
-				if plan, err = g.planGroundBody(ri, varSet{}); err == nil {
-					fresh, err = g.groundRuleRun(rule, plan)
-				}
-			}
-			if err != nil {
+			fresh := g.newGroundRun(n.prog.ground[ri])
+			if err := g.runRule(fresh); err != nil {
 				return err
 			}
 			st.runs[ri] = &cachedRun{out: fresh.out, reqs: fresh.reqs, rec: fresh.rec}

@@ -11,8 +11,8 @@ import (
 // grounding pipeline: per-rule variable slotting, slice-backed binding
 // frames with undo trails (replacing the map-clone-per-row discipline in
 // both the delta-plan path and the grounder), compiled per-atom match ops,
-// probe-key builders, transient hash indexes over symbolic rows, and the
-// literal-ordering planner used by the grounder.
+// probe-key builders and the grounder's solver rule levels. The planner
+// that orders rule bodies is planBody (compile.go).
 
 // ---------------------------------------------------------------- slotting
 
@@ -57,25 +57,9 @@ func (s *ruleSlots) slot(name string) (int, error) {
 
 func (s *ruleSlots) size() int { return len(s.names) }
 
-// collectTermVars walks a term and registers its variables.
+// collectTermVars registers the variables of a term.
 func (s *ruleSlots) collectTermVars(t colog.Term) {
-	switch x := t.(type) {
-	case *colog.VarTerm:
-		s.add(x.Name)
-	case *colog.BinTerm:
-		s.collectTermVars(x.L)
-		s.collectTermVars(x.R)
-	case *colog.NegTerm:
-		s.collectTermVars(x.X)
-	case *colog.NotTerm:
-		s.collectTermVars(x.X)
-	case *colog.AbsTerm:
-		s.collectTermVars(x.X)
-	case *colog.FuncTerm:
-		for _, a := range x.Args {
-			s.collectTermVars(a)
-		}
-	}
+	termVars(t, func(v string) bool { s.add(v); return true })
 }
 
 // collectRuleSlots slots every variable of a rule in deterministic
@@ -110,7 +94,7 @@ func collectRuleSlots(r *colog.Rule) *ruleSlots {
 }
 
 // varSet is a set of one rule's variables held as a slot-indexed bitmap:
-// the planners' record of which variables are bound (or may be symbolic)
+// the planner's record of which variables are bound (or may be symbolic)
 // at a point of the plan.
 type varSet struct {
 	slots *ruleSlots
@@ -124,16 +108,6 @@ func newVarSet(slots *ruleSlots) varSet {
 func (s varSet) has(name string) bool {
 	i, ok := s.slots.lookup(name)
 	return ok && s.in[i]
-}
-
-// add marks a variable; a name outside the layout is an error.
-func (s varSet) add(name string) error {
-	i, err := s.slots.slot(name)
-	if err != nil {
-		return err
-	}
-	s.in[i] = true
-	return nil
 }
 
 // ------------------------------------------------------------ ground frame
@@ -410,267 +384,6 @@ func (f *symFrame) appendProbeKey(ops []probeOp) ([]byte, bool) {
 	}
 	f.keyBuf = dst
 	return dst, true
-}
-
-// --------------------------------------------------- grounder body planner
-
-// gstepKind enumerates the operators of a grounding plan.
-type gstepKind int
-
-const (
-	gJoin   gstepKind = iota // enumerate a body atom's rows
-	gFilter                  // boolean condition: ground filter or posted constraint
-	gBind                    // definitional equality V==expr
-	gReify                   // reified binding (V==k)==(bool-expr)
-	gAssign                  // assignment V:=expr
-)
-
-// gstep is one operator of a compiled grounding plan.
-type gstep struct {
-	kind     gstepKind
-	atom     *colog.Atom
-	ops      []argOp
-	probeOps []probeOp
-	cond     colog.Term // gFilter
-	slot     int        // gBind / gReify / gAssign target
-	rhs      colog.Term // gBind / gReify / gAssign right-hand side
-	k        int64      // gReify constant
-	// rebind marks a gAssign whose target is already bound at this point
-	// (executed by saving and restoring the previous value).
-	rebind bool
-
-	// Join row sources (see stream.go). For a ground predicate, scan is
-	// the table's arrival-order snapshot and gidx the persistent index
-	// probed when the bound prefix is ground; for a solver predicate,
-	// symRows/groundRows are the symbolic tuples and the unshadowed
-	// materialized rows. pre is the pushdown prefilter; provCache memoizes
-	// per-row provenance cells in recording mode. Snapshots and index
-	// pointers are captured at plan time — plans are built serially, so
-	// grounding workers read them without synchronization.
-	scan       [][]colog.Value
-	gidx       *tableIndex
-	symRows    []symTuple
-	groundRows [][]colog.Value
-	pre        []rowCmp
-	provCache  map[string][]cellProv
-	provKeyBuf []byte
-}
-
-// groundPlan is the ordered body of one rule for one grounding, with every
-// join's access path resolved (index probe or cached scan).
-type groundPlan struct {
-	rule  *colog.Rule
-	label string
-	slots *ruleSlots
-	steps []gstep
-}
-
-// planGroundBody orders a rule body for grounding: expressions run as soon
-// as their inputs are bound, atoms are scheduled most-bound-first with
-// smaller relations breaking ties, replacing the seed grounder's
-// first-unprocessed-atom pick. Index probes are attached for every join
-// with a bound prefix; relations are sized without materializing them.
-func (g *grounder) planGroundBody(ri int, seeded varSet) (*groundPlan, error) {
-	rule := g.n.prog.res.Program.Rules[ri]
-	label := ruleName(rule)
-	slots := g.n.prog.slots[ri]
-	p := &groundPlan{rule: rule, label: label, slots: slots, steps: make([]gstep, 0, len(rule.Body))}
-
-	// bound and maybe share one backing array. maybe tracks which variables
-	// can hold a symbolic value at the current plan point — seeded head
-	// variables (constraint rules bind them from symbolic tuples), binds
-	// from solver-predicate joins, reified bindings, and expressions over
-	// any of those. The pushdown compiler treats checks against such
-	// variables as barriers.
-	sets := make([]bool, 2*slots.size())
-	bound := varSet{slots: slots, in: sets[:slots.size()]}
-	maybe := varSet{slots: slots, in: sets[slots.size():]}
-	copy(bound.in, seeded.in)
-	copy(maybe.in, seeded.in)
-	type pending struct {
-		lit  colog.Literal
-		atom *colog.Atom
-	}
-	todo := make([]pending, 0, len(rule.Body))
-	for _, l := range rule.Body {
-		if al, ok := l.(*colog.AtomLit); ok {
-			todo = append(todo, pending{l, al.Atom})
-		} else {
-			todo = append(todo, pending{l, nil})
-		}
-	}
-
-	for len(todo) > 0 {
-		picked := -1
-		var step gstep
-		// 1. Ready expressions first: ground filters prune, definitional
-		// equalities and assignments extend the frame cheaply.
-		for i, pd := range todo {
-			switch x := pd.lit.(type) {
-			case *colog.CondLit:
-				if condBound(x.Expr, bound) {
-					picked, step = i, gstep{kind: gFilter, cond: x.Expr}
-				} else if name, rhs, k, reified, ok := splitBindableStatic(x.Expr, bound); ok {
-					slot, err := slots.slot(name)
-					if err != nil {
-						return nil, everrf(label, "%v", err)
-					}
-					if reified {
-						picked, step = i, gstep{kind: gReify, slot: slot, rhs: rhs, k: k}
-						maybe.in[slot] = true // ITE over solver expressions
-					} else {
-						picked, step = i, gstep{kind: gBind, slot: slot, rhs: rhs}
-						if termMaybeSym(rhs, maybe) {
-							maybe.in[slot] = true
-						}
-					}
-					bound.in[slot] = true
-				}
-			case *colog.AssignLit:
-				if condBound(x.Expr, bound) {
-					slot, err := slots.slot(x.Var)
-					if err != nil {
-						return nil, everrf(label, "%v", err)
-					}
-					picked, step = i, gstep{kind: gAssign, slot: slot, rhs: x.Expr, rebind: bound.in[slot]}
-					bound.in[slot] = true
-					if termMaybeSym(x.Expr, maybe) {
-						maybe.in[slot] = true
-					}
-				}
-			}
-			if picked >= 0 {
-				break
-			}
-		}
-		// 2. Otherwise the most selective join: most bound columns, then
-		// smallest relation.
-		if picked < 0 {
-			bestBound, bestSize := -1, 0
-			for i, pd := range todo {
-				if pd.atom == nil {
-					continue
-				}
-				sz, err := g.relSize(pd.atom.Pred)
-				if err != nil {
-					return nil, everrf(label, "%v", err)
-				}
-				bc := countBoundCols(pd.atom, bound)
-				if bc > bestBound || (bc == bestBound && sz < bestSize) {
-					bestBound, bestSize = bc, sz
-					picked = i
-					step = gstep{kind: gJoin, atom: pd.atom}
-				}
-			}
-			if picked >= 0 {
-				if err := g.planJoin(&step, bound, maybe); err != nil {
-					return nil, everrf(label, "%v", err)
-				}
-			}
-		}
-		if picked < 0 {
-			return nil, everrf(label, "cannot order body literals during grounding")
-		}
-		p.steps = append(p.steps, step)
-		todo = append(todo[:picked], todo[picked+1:]...)
-	}
-	return p, nil
-}
-
-// planJoin resolves a scheduled join step's access path and compiles its
-// match ops and pushdown prefilter, extending bound (and maybe, for binds
-// from a solver predicate).
-func (g *grounder) planJoin(step *gstep, bound, maybe varSet) error {
-	a := step.atom
-	slots := bound.slots
-	cols := joinBoundCols(a, bound)
-	// Probe only predicates with no symbolic tuples: for pure ground rows a
-	// probe skips exactly the rows that would have failed on a ground
-	// mismatch without side effects. Symbolic rows can post equality
-	// constraints from a partial match before a later argument fails (seed
-	// semantics the solver model depends on), so those predicates keep the
-	// full scan.
-	_, isSym := g.sym[a.Pred]
-	var err error
-	if isSym {
-		step.symRows = g.sym[a.Pred]
-		if step.groundRows, err = g.cachedGroundRows(a.Pred); err != nil {
-			return err
-		}
-	} else {
-		tbl := g.n.tables[a.Pred]
-		step.scan = tbl.snapshotStable()
-		if len(cols) > 0 {
-			if step.probeOps, err = compileProbeOps(a, cols, slots); err != nil {
-				return err
-			}
-			step.gidx = tbl.ensureIndex(cols)
-		}
-	}
-	if step.ops, err = compileArgOps(a, bound); err != nil {
-		return err
-	}
-	step.pre = compilePushdown(step.ops, func(slot int) bool { return maybe.in[slot] })
-	if isSym {
-		// Binds from a solver predicate can carry symbolic values into the
-		// frame.
-		for oi := range step.ops {
-			if step.ops[oi].kind == argBind {
-				maybe.in[step.ops[oi].slot] = true
-			}
-		}
-	}
-	return nil
-}
-
-// splitBindableStatic mirrors grounder.splitBindable over a static bound
-// set: it recognizes V==expr definitional equalities and the reified
-// (V==k)==(expr) form.
-func splitBindableStatic(cond colog.Term, bound varSet) (name string, rhs colog.Term, k int64, reified, ok bool) {
-	bt, isBin := cond.(*colog.BinTerm)
-	if !isBin || bt.Op != colog.OpEq {
-		return "", nil, 0, false, false
-	}
-	unbound := func(t colog.Term) (string, bool) {
-		v, isVar := t.(*colog.VarTerm)
-		if !isVar {
-			return "", false
-		}
-		return v.Name, !bound.has(v.Name)
-	}
-	if n, u := unbound(bt.L); u && condBound(bt.R, bound) {
-		return n, bt.R, 0, false, true
-	}
-	if n, u := unbound(bt.R); u && condBound(bt.L, bound) {
-		return n, bt.L, 0, false, true
-	}
-	tryReified := func(side, other colog.Term) (string, colog.Term, int64, bool, bool) {
-		inner, isBin := side.(*colog.BinTerm)
-		if !isBin || inner.Op != colog.OpEq {
-			return "", nil, 0, false, false
-		}
-		var vName string
-		var constSide colog.Term
-		if n, u := unbound(inner.L); u {
-			vName, constSide = n, inner.R
-		} else if n, u := unbound(inner.R); u {
-			vName, constSide = n, inner.L
-		} else {
-			return "", nil, 0, false, false
-		}
-		c, isConst := constSide.(*colog.ConstTerm)
-		if !isConst || c.Val.Kind != colog.KindInt {
-			return "", nil, 0, false, false
-		}
-		if !condBound(other, bound) {
-			return "", nil, 0, false, false
-		}
-		return vName, other, c.Val.I, true, true
-	}
-	if n, r, kk, re, ok2 := tryReified(bt.L, bt.R); ok2 {
-		return n, r, kk, re, ok2
-	}
-	return tryReified(bt.R, bt.L)
 }
 
 // ------------------------------------------------------- rule level graph

@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/colog"
-	"repro/internal/solver"
 )
 
 // ---------------------------------------------------------------- frames
@@ -66,9 +67,11 @@ func TestJoinBoundColsSelection(t *testing.T) {
 	}
 	bound := newVarSet(collectRuleSlots(prog.Rules[0]))
 	for _, name := range []string{"X", "Y"} {
-		if err := bound.add(name); err != nil {
+		i, err := bound.slots.slot(name)
+		if err != nil {
 			t.Fatal(err)
 		}
+		bound.in[i] = true
 	}
 	cols := joinBoundCols(q, bound)
 	if !reflect.DeepEqual(cols, []int{0, 1, 2}) {
@@ -83,7 +86,7 @@ func TestCompiledPlanProbesIndex(t *testing.T) {
 	var joinStep *planStep
 	for _, p := range n.prog.plans["vm"] {
 		for i := range p.steps {
-			if p.steps[i].kind == stepJoin && !p.steps[i].isTrigger {
+			if i > 0 && p.steps[i].kind == stepJoin {
 				joinStep = &p.steps[i]
 			}
 		}
@@ -101,72 +104,103 @@ func TestCompiledPlanProbesIndex(t *testing.T) {
 
 // ---------------------------------------------------------- literal order
 
-// TestGroundPlanOrdersMostBoundFirst: with nothing bound, the planner must
-// open with the smallest relation, then probe the larger one on the shared
-// column, and run the condition as soon as its inputs are bound.
+// TestGroundPlanOrdersMostBoundFirst: Compile builds the ground plan once,
+// most bound columns first and body order on ties, with no regard to table
+// sizes; two nodes of the Program then solve concurrently on it (run under
+// -race) without changing it.
 func TestGroundPlanOrdersMostBoundFirst(t *testing.T) {
-	n := newTestNode(t, `
-goal minimize C in obj(C).
+	prog, err := Compile(mustAnalyze(t, `
+goal maximize C in obj(C).
 var pick(V,X) forall cand(V).
 r1 cand(V) <- vm(V).
 d1 obj(SUM<S>) <- big(H,W), small(H), pick(V,X), S==X*W.
-`, Config{})
-	for i := 0; i < 8; i++ {
-		n.Insert("big", sval(fmt.Sprintf("h%d", i)), ival(int64(i)))
-	}
-	n.Insert("small", sval("h3"))
-	n.Insert("vm", sval("v1"))
-
-	g := &grounder{n: n, model: solver.NewModel(), sym: map[string][]symTuple{}}
-	if err := g.createVars(); err != nil {
-		t.Fatal(err)
-	}
-	ri := -1
-	for i, r := range n.prog.res.Program.Rules {
-		if r.Label == "d1" {
-			ri = i
-		}
-	}
-	p, err := g.planGroundBody(ri, varSet{})
+`, nil), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kinds []gstepKind
+	var gp *groundPlan
+	for _, p := range prog.ground {
+		if p != nil && p.label == "d1" {
+			gp = p
+		}
+	}
+	if gp == nil {
+		t.Fatal("no ground plan compiled for d1")
+	}
+	// big and small tie with nothing bound: big comes first by body order,
+	// then small probes it on H; pick joins after, and S==X*W binds last.
 	var preds []string
-	for _, st := range p.steps {
-		kinds = append(kinds, st.kind)
-		if st.atom != nil {
+	for _, st := range gp.steps {
+		if st.kind == stepJoin {
 			preds = append(preds, st.atom.Pred)
 		}
 	}
-	// small (1 row) before big (8 rows); pick joins after; the condition
-	// S==X*W runs as soon as X and W are bound.
-	if len(preds) < 2 || preds[0] != "small" || preds[1] != "big" {
-		t.Fatalf("join order = %v, want small before big", preds)
+	if !reflect.DeepEqual(preds, []string{"big", "small", "pick"}) {
+		t.Fatalf("join order = %v, want [big small pick]", preds)
 	}
-	if kinds[len(kinds)-1] != gBind {
-		t.Fatalf("step kinds = %v, want trailing definitional bind for S", kinds)
+	if gp.steps[1].atom.Pred != "small" || !reflect.DeepEqual(gp.steps[1].boundCols, []int{0}) {
+		t.Fatalf("small join binds columns %v, want [0] (H)", gp.steps[1].boundCols)
 	}
-	// The probe into big must use the column bound by small.
-	bigStep := p.steps[1]
-	if bigStep.atom.Pred != "big" || len(bigStep.probeOps) != 1 {
-		t.Fatalf("big join has probeOps %+v, want 1 (H)", bigStep.probeOps)
+	if last := gp.steps[len(gp.steps)-1]; last.kind != stepBind || last.bindVar != "S" {
+		t.Fatalf("last step = %+v, want the definitional bind of S", last)
+	}
+	before := fmt.Sprintf("%+v", gp.steps)
+
+	// Each node joins big (8 rows) with one small row of its own: h3 and h5.
+	want := []float64{3, 5}
+	nodes := make([]*Node, len(want))
+	for i := range nodes {
+		if nodes[i], err = prog.NewNode(fmt.Sprintf("n%d", i), Config{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		for h := 0; h < 8; h++ {
+			nodes[i].Insert("big", sval(fmt.Sprintf("h%d", h)), ival(int64(h)))
+		}
+		nodes[i].Insert("small", sval(fmt.Sprintf("h%d", int(want[i]))))
+		nodes[i].Insert("vm", sval("v1"))
+	}
+	got := make([]float64, len(nodes))
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	for i, n := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3 && errs[i] == nil; round++ {
+				var res *SolveResult
+				if res, errs[i] = n.Solve(SolveOptions{}); errs[i] == nil {
+					got[i] = res.Objective
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range nodes {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("objectives = %v, want %v", got, want)
+	}
+	if after := fmt.Sprintf("%+v", gp.steps); after != before {
+		t.Fatalf("solving changed the shared plan:\n%s\n%s", before, after)
 	}
 }
 
 // TestGroundPlanUnorderableBody: a condition whose variables can never all
-// bind must fail planning with the grounder's ordering error.
+// bind must fail planning with the grounder's ordering error — in Compile,
+// so building the node fails.
 func TestGroundPlanUnorderableBody(t *testing.T) {
-	n := newTestNode(t, `
+	res := mustAnalyze(t, `
 goal minimize C in obj(C).
 var pick(V,X) forall cand(V).
 r1 cand(V) <- vm(V).
 d1 obj(SUM<X>) <- pick(V,X), J+K==2.
-`, Config{})
-	n.Insert("vm", sval("v1"))
-	_, err := n.Solve(SolveOptions{})
-	if err == nil {
-		t.Fatal("expected ordering error for body with unbindable condition")
+`, nil)
+	_, err := NewNode("local", res, Config{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "cannot order body literals during grounding") {
+		t.Fatalf("err = %v, want the grounding ordering error from NewNode", err)
 	}
 }
 
@@ -323,6 +357,91 @@ d1 obj(SUM<C>) <- pick(V,X), m(V,W), V:=W, C==X*W+1.
 	// X=0 -> 2. A corrupted frame drops the second row and yields 1.
 	if res.Objective != 2 {
 		t.Fatalf("objective = %v, want 2", res.Objective)
+	}
+}
+
+// ------------------------------------------------------ assignment order
+
+// TestAssignReassignFollowsBodyOrder: X:=Z reassigns X, which r and q
+// mention before it, so it runs after both joins whichever fact arrives
+// first: r(1,10) joins q(1,5) and X becomes 10.
+func TestAssignReassignFollowsBodyOrder(t *testing.T) {
+	for _, qFirst := range []bool{true, false} {
+		n := newTestNode(t, `r1 h(X,Y) <- r(X,Z), q(X,Y), X:=Z.`, Config{})
+		insertQ := func() {
+			n.Insert("q", ival(1), ival(5))
+			n.Insert("q", ival(10), ival(7))
+		}
+		if qFirst {
+			insertQ()
+		}
+		n.Insert("r", ival(1), ival(10))
+		if !qFirst {
+			insertQ()
+		}
+		if got := fmt.Sprint(n.Rows("h")); got != "[[10 5]]" {
+			t.Fatalf("q first=%v: h = %s, want [[10 5]]", qFirst, got)
+		}
+	}
+}
+
+// TestAssignDefinesTarget: X:=Y+1 is the first literal to mention X, so it
+// defines X; a join that binds X first makes it the check X==Y+1. With
+// q(5) and r(1) no rule instance holds, whichever fact arrives first; q(2)
+// then derives h(2).
+func TestAssignDefinesTarget(t *testing.T) {
+	for _, qFirst := range []bool{true, false} {
+		n := newTestNode(t, `r1 h(X) <- X:=Y+1, q(X), r(Y).`, Config{})
+		if qFirst {
+			n.Insert("q", ival(5))
+		}
+		n.Insert("r", ival(1))
+		if !qFirst {
+			n.Insert("q", ival(5))
+		}
+		if got := fmt.Sprint(n.Rows("h")); got != "[]" {
+			t.Fatalf("q first=%v: h = %s, want []", qFirst, got)
+		}
+		n.Insert("q", ival(2))
+		if got := fmt.Sprint(n.Rows("h")); got != "[[2]]" {
+			t.Fatalf("q first=%v: h = %s after q(2), want [[2]]", qFirst, got)
+		}
+	}
+}
+
+// TestGroundAssignRebindAfterLaterJoin is TestGroundAssignRebind with m
+// listed before pick: V:=W reassigns V, which pick mentions before it, so
+// the ground plan joins pick on the original V first. Each m row
+// contributes W*X+1, minimized at X=0.
+func TestGroundAssignRebindAfterLaterJoin(t *testing.T) {
+	for _, ws := range [][]int64{{2}, {2, 3}} {
+		n := newTestNode(t, `
+goal minimize C in obj(C).
+var pick(V,X) forall cand(V).
+r1 cand(V) <- vm(V).
+d1 obj(SUM<C>) <- m(V,W), pick(V,X), V:=W, C==X*W+1.
+`, Config{SolverPropagate: true})
+		n.Insert("vm", sval("v1"))
+		for _, w := range ws {
+			n.Insert("m", sval("v1"), ival(w))
+		}
+		res, err := n.Solve(SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(len(ws)); !res.HasGoal || res.Objective != want {
+			t.Fatalf("m rows %v: objective = %v (goal %v), want %v", ws, res.Objective, res.HasGoal, want)
+		}
+	}
+}
+
+// TestAssignReassignReadLaterRejected: a literal after a reassignment that
+// reads its target is a compile error.
+func TestAssignReassignReadLaterRejected(t *testing.T) {
+	res := mustAnalyze(t, `r1 h(X) <- r(X,Z), X:=Z, q(X).`, nil)
+	_, err := NewNode("local", res, Config{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "reassigns X") {
+		t.Fatalf("err = %v, want a reassignment error", err)
 	}
 }
 

@@ -680,6 +680,7 @@ func locAddr(v colog.Value) string {
 type planRun struct {
 	frame *bindFrame
 	idx   []stepIndex // parallel to plan.steps
+	rc    *recompute  // set while a DRed recompute runs the plan
 }
 
 // stepIndex is a join step's memoized index and the table's indexGen it
@@ -719,11 +720,26 @@ func (n *Node) runPlan(p *plan, d delta) error {
 func (n *Node) execSteps(p *plan, run *planRun, idx int, d delta) error {
 	f := run.frame
 	if idx == len(p.steps) {
+		if run.rc != nil {
+			vals, err := p.project(f)
+			if err == nil {
+				run.rc.out = append(run.rc.out, vals)
+			}
+			return err
+		}
 		return n.emitHead(p, f, d.sign)
 	}
 	step := &p.steps[idx]
 	switch step.kind {
 	case stepJoin:
+		if rows, ok := run.rc.rows(step.atom.Pred); ok {
+			for _, rowVals := range rows {
+				if err := n.execJoinRow(p, run, idx, d, rowVals); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 		t := n.tables[step.atom.Pred]
 		if t == nil {
 			return everrf(step.atom.Pred, "unknown predicate in join")
@@ -810,6 +826,15 @@ func (n *Node) emitHead(p *plan, f *bindFrame, sign int) error {
 	if len(p.headAggs) > 0 {
 		return n.updateAggregate(p, f, sign)
 	}
+	vals, err := p.project(f)
+	if err != nil {
+		return err
+	}
+	return n.route(Tuple{p.rule.Head.Pred, vals}, sign)
+}
+
+// project evaluates a plain head over the binding.
+func (p *plan) project(f *bindFrame) ([]colog.Value, error) {
 	vals := make([]colog.Value, len(p.headOps))
 	for i := range p.headOps {
 		op := &p.headOps[i]
@@ -819,11 +844,11 @@ func (n *Node) emitHead(p *plan, f *bindFrame, sign int) error {
 		}
 		v, err := evalGround(op.term, f)
 		if err != nil {
-			return everrf(ruleName(p.rule), "head argument %d: %v", i, err)
+			return nil, everrf(ruleName(p.rule), "head argument %d: %v", i, err)
 		}
 		vals[i] = v
 	}
-	return n.route(Tuple{p.rule.Head.Pred, vals}, sign)
+	return vals, nil
 }
 
 // matchAtom unifies an atom pattern with ground values, extending env.
@@ -857,14 +882,6 @@ func matchAtom(a *colog.Atom, vals []colog.Value, env map[string]colog.Value) bo
 		}
 	}
 	return true
-}
-
-func cloneEnv(env map[string]colog.Value) map[string]colog.Value {
-	out := make(map[string]colog.Value, len(env)+4)
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
 }
 
 // snapshotUnordered returns visible rows for join scans (hot path) in the

@@ -11,10 +11,12 @@ import (
 )
 
 // Program is an analyzed Colog program compiled for execution: the delta
-// plans of its regular rules, one variable slot layout per rule (shared by
-// the delta plans and the grounder), the table layouts with their declared
-// and inferred primary keys, and what DRed and the grounder derive from
-// the rules alone (recursive groups, solver rule levels).
+// plans of its regular rules, the recompute plans of its recursive groups,
+// the ground plans of its solver rules, one variable slot layout per rule
+// (shared by all of them), the table layouts with their declared and
+// inferred primary keys, and what DRed and the grounder derive from the
+// rules alone (recursive groups, solver rule levels). Every plan is built
+// here, once, by planBody; solving builds none.
 //
 // A Program is immutable once Compile returns. Any number of nodes, on any
 // number of goroutines, can be built from one and share it read-only; each
@@ -28,24 +30,29 @@ type Program struct {
 	events map[string]bool
 
 	plans  map[string][]*plan // delta plans by trigger predicate
-	nplans int
-	slots  []*ruleSlots  // variable layout per rule of res.Program.Rules
-	tables []tableLayout // invokeSolver included
+	nplans int                // delta and recompute plans
+	slots  []*ruleSlots       // variable layout per rule of res.Program.Rules
+	tables []tableLayout      // invokeSolver included
 
 	// Recursive-group (DRed) metadata; see dred.go.
 	groups      []*recursiveGroup
 	groupOfHead map[int]int
 	feedsGroup  map[string][]int
 
-	// Grounder metadata: the solver derivation rules' dependency levels,
-	// the constraint rules in program order, each rule's distinct body
-	// predicates, the solver derivation heads, and the predicates variable
-	// declarations read (see ground.go and incremental.go).
+	// Grounder metadata: the ground plan per solver rule (nil for regular
+	// rules), the solver derivation rules' dependency levels, the
+	// constraint rules in program order, each rule's distinct body
+	// predicates, the solver derivation heads, the predicates variable
+	// declarations read, and the solver predicates — the variable
+	// declarations plus the derivation heads (see ground.go and
+	// incremental.go).
+	ground    []*groundPlan
 	levels    [][]int
 	consIdx   []int
 	reads     [][]string
 	headPreds map[string]bool
 	varPreds  map[string]bool
+	symPreds  map[string]bool
 }
 
 // compiles counts Compile calls; tests read it to check that callers
@@ -88,33 +95,62 @@ func Compile(res *analysis.Result, keys map[string][]int, events []string) (*Pro
 	if _, ok := res.Tables[InvokeSolverPred]; !ok {
 		p.tables = append(p.tables, tableLayout{name: InvokeSolverPred, event: true})
 	}
-	p.initDred()
-	p.initGroundMeta()
+	if err := p.initDred(); err != nil {
+		return nil, err
+	}
+	if err := p.initGroundMeta(); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
-// initGroundMeta derives the grounder's per-program metadata.
-func (p *Program) initGroundMeta() {
+// initGroundMeta derives the grounder's per-program metadata and compiles
+// the ground plans.
+func (p *Program) initGroundMeta() error {
 	res := p.res
 	p.levels = solverRuleLevels(res.Program.Rules, res.SolverOrder)
 	p.reads = make([][]string, len(res.Program.Rules))
 	p.headPreds = map[string]bool{}
 	p.varPreds = map[string]bool{}
+	p.symPreds = map[string]bool{}
 	for ri, r := range res.Program.Rules {
 		p.reads[ri] = ruleReads(r)
 		switch res.Classes[ri] {
 		case analysis.SolverDerivationRule:
 			p.headPreds[r.Head.Pred] = true
+			p.symPreds[r.Head.Pred] = true
 		case analysis.SolverConstraintRule:
 			p.consIdx = append(p.consIdx, ri)
 		}
 	}
 	for _, vd := range res.Program.Vars {
+		p.symPreds[vd.Decl.Pred] = true
 		p.varPreds[vd.ForAll.Pred] = true
 		if vd.Domain != nil && vd.Domain.FromTable != "" {
 			p.varPreds[vd.Domain.FromTable] = true
 		}
 	}
+	p.ground = make([]*groundPlan, len(res.Program.Rules))
+	for ri := range res.Program.Rules {
+		if res.Classes[ri] == analysis.RegularRule {
+			continue
+		}
+		gp, err := p.compileGroundPlan(ri)
+		if err != nil {
+			return err
+		}
+		p.ground[ri] = gp
+	}
+	if goal := res.Program.Goal; goal != nil && goal.Sense != colog.GoalSatisfy && !p.known(goal.Atom.Pred) {
+		return everrf("goal", "%v", unknownPredErr(goal.Atom.Pred))
+	}
+	return nil
+}
+
+// known reports whether the grounder can read pred: a table or a solver
+// predicate.
+func (p *Program) known(pred string) bool {
+	return p.symPreds[pred] || p.res.Tables[pred] != nil
 }
 
 // isEvent reports whether pred is a table with event semantics.

@@ -5,7 +5,7 @@ package core
 // A join over a ground predicate consumes the table directly: either the
 // persistent arrival-ordered tableIndex (shared with the delta pipeline,
 // pre-sized from the table count) or the memoized snapshotStable scan, both
-// captured on the plan step while plans are built serially — so grounding
+// captured in the run's joinSrc while runs are bound serially — so grounding
 // workers then read them without synchronization. Rows flow through a
 // pushdown prefilter (rowCmp) evaluated on the raw []colog.Value before any
 // binding-frame extension, and only surviving rows are matched op-by-op
@@ -164,59 +164,7 @@ func (f *symFrame) rowPrefilter(cmps []rowCmp, arity int, vals []colog.Value) bo
 	return true
 }
 
-// ------------------------------------------------- maybe-symbolic tracking
-
-// termMaybeSym reports whether evaluating the term under the current frame
-// could yield a symbolic value: true iff any variable it mentions might be
-// symbolic.
-func termMaybeSym(t colog.Term, maybe varSet) bool {
-	switch x := t.(type) {
-	case *colog.VarTerm:
-		return maybe.has(x.Name)
-	case *colog.BinTerm:
-		return termMaybeSym(x.L, maybe) || termMaybeSym(x.R, maybe)
-	case *colog.NegTerm:
-		return termMaybeSym(x.X, maybe)
-	case *colog.NotTerm:
-		return termMaybeSym(x.X, maybe)
-	case *colog.AbsTerm:
-		return termMaybeSym(x.X, maybe)
-	case *colog.FuncTerm:
-		for _, a := range x.Args {
-			if termMaybeSym(a, maybe) {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
-	}
-}
-
 // ---------------------------------------------------- streaming row sources
-
-// relSize returns the number of rows a join over the predicate enumerates,
-// without materializing them: the table count for ground predicates, the
-// symbolic tuples plus unshadowed materialized rows for solver predicates.
-// The planner orders joins by it; a predicate with no table is an error.
-func (g *grounder) relSize(pred string) (int, error) {
-	sts, isSym := g.sym[pred]
-	tbl := g.n.tables[pred]
-	if !isSym {
-		if tbl == nil {
-			return 0, unknownPredErr(pred)
-		}
-		return tbl.size(), nil
-	}
-	if tbl == nil || tbl.size() == 0 {
-		return len(sts), nil
-	}
-	rows, err := g.cachedGroundRows(pred)
-	if err != nil {
-		return 0, err
-	}
-	return len(sts) + len(rows), nil
-}
 
 // cachedGroundRows returns a solver predicate's materialized rows that are
 // not shadowed by a symbolic tuple, in snapshotStable order: the rows a
@@ -225,9 +173,9 @@ func (g *grounder) relSize(pred string) (int, error) {
 // the variable of the link under negotiation and the concrete assignments
 // collected from neighbors. Cached until the predicate's symbolic tuples
 // change (invalidatePred).
-func (g *grounder) cachedGroundRows(pred string) ([][]colog.Value, error) {
+func (g *grounder) cachedGroundRows(pred string) [][]colog.Value {
 	if rows, ok := g.groundRowsCache[pred]; ok {
-		return rows, nil
+		return rows
 	}
 	sts := g.sym[pred]
 	tbl := g.n.tables[pred]
@@ -247,14 +195,15 @@ func (g *grounder) cachedGroundRows(pred string) ([][]colog.Value, error) {
 		g.groundRowsCache = map[string][][]colog.Value{}
 	}
 	g.groundRowsCache[pred] = out
-	return out, nil
+	return out
 }
 
-// provFor returns the provenance cells for one raw row of the step's join
-// predicate, memoized per step so repeated probes of the same row reuse one
-// allocation. The key is the full-row valsKey — the key the incremental
-// patcher uses, so refs recorded during grounding are found by patchRun.
-func (st *gstep) provFor(pred string, vals []colog.Value) []cellProv {
+// provFor returns the provenance cells for one raw row of the join's
+// predicate, memoized per join and grounding so repeated probes of the same
+// row reuse one allocation. The key is the full-row valsKey — the key the
+// incremental patcher uses, so refs recorded during grounding are found by
+// patchRun.
+func (st *joinSrc) provFor(pred string, vals []colog.Value) []cellProv {
 	st.provKeyBuf = appendValsKey(st.provKeyBuf[:0], vals)
 	if provs, ok := st.provCache[string(st.provKeyBuf)]; ok {
 		return provs
@@ -277,23 +226,24 @@ func (st *gstep) provFor(pred string, vals []colog.Value) []cellProv {
 // first via the symbolic matcher, then ground rows via the prefiltered
 // ground matcher — probing the persistent index when the bound prefix is
 // ground, falling back to the arrival-order scan otherwise.
-func (g *grounder) streamJoin(run *groundRun, p *groundPlan, idx int, sink func(*symFrame) error) error {
+func (g *grounder) streamJoin(run *groundRun, idx int, sink func(*symFrame) error) error {
 	f := run.frame
-	step := &p.steps[idx]
-	if step.scan != nil {
+	step := &run.plan.steps[idx]
+	src := &run.src[idx]
+	if !step.solver {
 		// Ground predicate: probe or scan the table directly.
-		if step.gidx != nil {
+		if src.gidx != nil {
 			if key, ok := f.appendProbeKey(step.probeOps); ok {
-				for _, r := range step.gidx.probeBytes(key) {
-					if err := g.streamGroundRow(run, p, idx, r.vals, sink); err != nil {
+				for _, r := range src.gidx.probeBytes(key) {
+					if err := g.streamGroundRow(run, idx, r.vals, sink); err != nil {
 						return err
 					}
 				}
 				return nil
 			}
 		}
-		for _, vals := range step.scan {
-			if err := g.streamGroundRow(run, p, idx, vals, sink); err != nil {
+		for _, vals := range src.scan {
+			if err := g.streamGroundRow(run, idx, vals, sink); err != nil {
 				return err
 			}
 		}
@@ -301,21 +251,21 @@ func (g *grounder) streamJoin(run *groundRun, p *groundPlan, idx int, sink func(
 	}
 	// Solver predicate: symbolic tuples first, then the unshadowed
 	// materialized rows.
-	for _, st := range step.symRows {
+	for _, st := range src.symRows {
 		m := f.mark()
-		ok, err := g.matchSymRow(run, step.ops, st, p.label)
+		ok, err := g.matchSymRow(run, step.argOps, st, run.plan.label)
 		if err != nil {
 			return err
 		}
 		if ok {
-			if err := g.execPlan(run, p, idx+1, sink); err != nil {
+			if err := g.execPlan(run, idx+1, sink); err != nil {
 				return err
 			}
 		}
 		f.undo(m)
 	}
-	for _, vals := range step.groundRows {
-		if err := g.streamGroundRow(run, p, idx, vals, sink); err != nil {
+	for _, vals := range src.groundRows {
+		if err := g.streamGroundRow(run, idx, vals, sink); err != nil {
 			return err
 		}
 	}
@@ -324,19 +274,19 @@ func (g *grounder) streamJoin(run *groundRun, p *groundPlan, idx int, sink func(
 
 // streamGroundRow runs one raw table row through the step: pushdown
 // prefilter, then the full op-by-op match, then the plan continuation.
-func (g *grounder) streamGroundRow(run *groundRun, p *groundPlan, idx int, vals []colog.Value, sink func(*symFrame) error) error {
-	step := &p.steps[idx]
+func (g *grounder) streamGroundRow(run *groundRun, idx int, vals []colog.Value, sink func(*symFrame) error) error {
+	step := &run.plan.steps[idx]
 	f := run.frame
-	if !f.rowPrefilter(step.pre, len(step.ops), vals) {
+	if !f.rowPrefilter(step.preCmps, len(step.argOps), vals) {
 		return nil
 	}
 	m := f.mark()
-	ok, err := g.matchGroundRow(run, step, vals, p.label)
+	ok, err := g.matchGroundRow(run, idx, vals)
 	if err != nil {
 		return err
 	}
 	if ok {
-		if err := g.execPlan(run, p, idx+1, sink); err != nil {
+		if err := g.execPlan(run, idx+1, sink); err != nil {
 			return err
 		}
 	}
@@ -350,15 +300,17 @@ func (g *grounder) streamGroundRow(run *groundRun, p *groundPlan, idx int, vals 
 // check whose frame side is symbolic posts an equality constraint with the
 // cell lifted to a constant, and constraints posted before a later argument
 // fails are kept.
-func (g *grounder) matchGroundRow(run *groundRun, step *gstep, vals []colog.Value, label string) (bool, error) {
-	ops := step.ops
+func (g *grounder) matchGroundRow(run *groundRun, idx int, vals []colog.Value) (bool, error) {
+	step := &run.plan.steps[idx]
+	label := run.plan.label
+	ops := step.argOps
 	if len(ops) != len(vals) {
 		return false, nil
 	}
 	f := run.frame
 	var provs []cellProv
 	if g.recording {
-		provs = step.provFor(step.atom.Pred, vals)
+		provs = run.src[idx].provFor(step.atom.Pred, vals)
 	}
 	for i := range ops {
 		op := &ops[i]

@@ -253,26 +253,5 @@ func evalGround(t colog.Term, env valueEnv) (colog.Value, error) {
 
 // termBound reports whether all variables in t are bound in env.
 func termBound(t colog.Term, env valueEnv) bool {
-	switch x := t.(type) {
-	case *colog.VarTerm:
-		_, ok := env.lookupVar(x.Name)
-		return ok
-	case *colog.BinTerm:
-		return termBound(x.L, env) && termBound(x.R, env)
-	case *colog.NegTerm:
-		return termBound(x.X, env)
-	case *colog.NotTerm:
-		return termBound(x.X, env)
-	case *colog.AbsTerm:
-		return termBound(x.X, env)
-	case *colog.FuncTerm:
-		for _, a := range x.Args {
-			if !termBound(a, env) {
-				return false
-			}
-		}
-		return true
-	default:
-		return true
-	}
+	return termVars(t, func(v string) bool { _, ok := env.lookupVar(v); return ok })
 }
