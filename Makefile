@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-json bench-diff fuzz fuzz-wire fuzz-wal fuzz-churn fuzz-rollup wal-torture bench-smoke-repo lint docs-check recovery-equivalence streaming-equivalence plan-equivalence serving-soak alloc-budget shard-equivalence shard-smoke sharded-10k figures-smoke ci
+.PHONY: build test bench bench-json bench-diff fuzz fuzz-wire fuzz-wal fuzz-log-record fuzz-resync-frame fuzz-churn fuzz-rollup wal-torture bench-smoke-repo lint docs-check recovery-equivalence streaming-equivalence plan-equivalence codec-equivalence serving-soak alloc-budget shard-equivalence shard-smoke sharded-10k figures-smoke ci
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,18 @@ fuzz-wire:
 fuzz-wal:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) ./internal/store
 
+# Fixed-budget fuzz of the core log-record payload decoders and checkpoint
+# import (corpus seeded from the codec-equivalence scenarios): malformed
+# records and oversized counts must be rejected without panicking, and
+# whatever decodes must re-encode to bytes that decode to the same value.
+fuzz-log-record:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLogRecord$$' -fuzztime=$(FUZZTIME) ./internal/core
+
+# Fixed-budget fuzz of the resync digest and rows frame decoders (frames
+# arrive from UDP peers; same property as fuzz-log-record).
+fuzz-resync-frame:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResyncFrame$$' -fuzztime=$(FUZZTIME) ./internal/core
+
 # Fixed-budget fuzz of the churn-event frame codec (corpus recorded from a
 # real cmd/serve load-driver run; bad versions, ops, and torn frames must be
 # rejected without panicking, and whatever decodes must round-trip
@@ -104,6 +116,13 @@ streaming-equivalence:
 # internal/core/testdata/plans.golden.
 plan-equivalence:
 	$(GO) test -count=1 -run 'TestPlansMatchRecorded' ./internal/core
+
+# The codec-equivalence gate: every log record type, checkpoint, delta and
+# batch frame, and resync frame the codec scenarios produce must hash to
+# internal/core/testdata/codec.golden, recorded before the decoders moved
+# onto one reader, and decode and re-encode to exactly its bytes.
+codec-equivalence:
+	$(GO) test -count=1 -run 'TestCodecMatchesRecorded' ./internal/core
 
 # The serving-soak gate: thousands of random churn events through the
 # serving runtime per scenario, with randomized batching and injected
@@ -166,6 +185,7 @@ ci: lint build test docs-check bench-smoke-repo figures-smoke
 	$(GO) test -count=1 -run 'TestIncrementalGroundEquivalence' ./internal/core
 	$(GO) test -count=1 -run 'TestStreamingGroundEquivalence' ./internal/core
 	$(GO) test -count=1 -run 'TestPlansMatchRecorded' ./internal/core
+	$(GO) test -count=1 -run 'TestCodecMatchesRecorded' ./internal/core
 	$(GO) test -count=1 -run 'TestGroundAllocBudget|TestSpawnAllocBudget' .
 	$(GO) test -count=1 -run 'TestClusterEquivalence' ./internal/acloud ./internal/followsun ./internal/wireless
 	$(GO) test -race -count=1 -run TestClusterEquivalence ./internal/followsun ./internal/wireless
@@ -177,6 +197,8 @@ ci: lint build test docs-check bench-smoke-repo figures-smoke
 	$(GO) test -count=1 -run 'TestShardMultiProcess' ./internal/wireless
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/colog
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDeltas -fuzztime=20s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLogRecord$$' -fuzztime=20s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResyncFrame$$' -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWALRecord -fuzztime=20s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeChurnEvent -fuzztime=20s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRollupFrame -fuzztime=20s ./internal/cluster

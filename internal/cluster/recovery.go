@@ -23,7 +23,7 @@ func (r *Runtime) checkpointAll() error {
 		}
 		// For nodes with a durable log the export doubles as a compaction:
 		// the log is atomically reduced to one checkpoint record, bounding
-		// replay time, and the spill files shed abandoned space.
+		// replay time and the log's size.
 		data, err := m.node.CheckpointAndCompact()
 		if err != nil {
 			if firstErr == nil {

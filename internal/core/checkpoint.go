@@ -5,10 +5,11 @@ package core
 // pending) so RestoreNode can rebuild an instance that is byte-identical to
 // the original — including every row's arrival-order seq number, which is
 // what keeps a recovered node's join enumeration, derivation order, and
-// solver traces aligned with a node that never failed. The layout reuses
-// the varint wire primitives of the delta codec (tuple.go) and is fully
-// deterministic (sorted sections, rows in seq order), so two checkpoints of
-// identical states are byte-equal.
+// solver traces aligned with a node that never failed. The layout is built
+// from the primitives of codec.go and is fully deterministic (sorted
+// sections, rows in seq order), so two checkpoints of identical states are
+// byte-equal. Its grammar is in wal.go: the materialization and mirror
+// sections use the same encoding as solve and resync records.
 
 import (
 	"encoding/binary"
@@ -57,6 +58,9 @@ func (n *Node) exportCheckpointLocked() ([]byte, error) {
 	if n.draining || n.qhead < len(n.queue) || len(n.dirtyGroups) > 0 {
 		return nil, fmt.Errorf("core: checkpoint of %s: evaluation in progress", n.Addr)
 	}
+	fail := func(err error) ([]byte, error) {
+		return nil, fmt.Errorf("core: checkpoint of %s: %w", n.Addr, err)
+	}
 	buf := []byte{checkpointVersion}
 	var err error
 
@@ -71,7 +75,7 @@ func (n *Node) exportCheckpointLocked() ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
 		t := n.tables[name]
-		buf = appendWireString(buf, name)
+		buf = AppendWireString(buf, name)
 		buf = binary.AppendUvarint(buf, uint64(t.arity))
 		buf = binary.AppendUvarint(buf, t.nextSeq)
 		rows := make([]store.Row, 0, len(t.rows))
@@ -84,8 +88,8 @@ func (n *Node) exportCheckpointLocked() ([]byte, error) {
 			buf = binary.AppendUvarint(buf, r.Seq)
 			buf = binary.AppendUvarint(buf, uint64(r.Count))
 			buf = binary.AppendUvarint(buf, uint64(r.Base))
-			if buf, err = appendWireVals(buf, r.Vals); err != nil {
-				return nil, fmt.Errorf("core: checkpoint of %s: table %s: %w", n.Addr, name, err)
+			if buf, err = AppendWireValues(buf, r.Vals); err != nil {
+				return fail(fmt.Errorf("table %s: %w", name, err))
 			}
 		}
 		freed := make([]string, 0, len(t.freedSeq))
@@ -95,7 +99,7 @@ func (n *Node) exportCheckpointLocked() ([]byte, error) {
 		sort.Strings(freed)
 		buf = binary.AppendUvarint(buf, uint64(len(freed)))
 		for _, k := range freed {
-			buf = appendWireString(buf, k)
+			buf = AppendWireString(buf, k)
 			buf = binary.AppendUvarint(buf, t.freedSeq[k])
 		}
 	}
@@ -121,17 +125,11 @@ func (n *Node) exportCheckpointLocked() ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(gkeys)))
 		for _, gk := range gkeys {
 			g := st.groups[gk]
-			if buf, err = appendWireVals(buf, g.groupVals); err != nil {
-				return nil, fmt.Errorf("core: checkpoint of %s: aggregate group: %w", n.Addr, err)
+			if buf, err = AppendWireValues(buf, g.groupVals); err == nil {
+				buf, err = appendOptTuple(buf, g.emitted)
 			}
-			if g.emitted != nil {
-				buf = append(buf, 1)
-				buf = appendWireString(buf, g.emitted.Pred)
-				if buf, err = appendWireVals(buf, g.emitted.Vals); err != nil {
-					return nil, fmt.Errorf("core: checkpoint of %s: aggregate head: %w", n.Addr, err)
-				}
-			} else {
-				buf = append(buf, 0)
+			if err != nil {
+				return fail(fmt.Errorf("aggregate group: %w", err))
 			}
 			ikeys := make([]string, 0, len(g.items))
 			for k := range g.items {
@@ -141,35 +139,28 @@ func (n *Node) exportCheckpointLocked() ([]byte, error) {
 			buf = binary.AppendUvarint(buf, uint64(len(ikeys)))
 			for _, ik := range ikeys {
 				it := g.items[ik]
-				if buf, err = appendWireVals(buf, []colog.Value{it.val}); err != nil {
-					return nil, fmt.Errorf("core: checkpoint of %s: aggregate item: %w", n.Addr, err)
+				if buf, err = AppendWireValues(buf, []colog.Value{it.val}); err != nil {
+					return fail(fmt.Errorf("aggregate item: %w", err))
 				}
 				buf = binary.AppendUvarint(buf, uint64(it.count))
 			}
 		}
 	}
 
-	// Solver materialization memory.
-	var mpreds []string
+	// Solver materialization memory, encoded as a solve record's tables.
+	var mats []matTable
 	for pred, tuples := range n.lastMaterialized {
 		if len(tuples) > 0 {
-			mpreds = append(mpreds, pred)
+			mats = append(mats, matTable{pred: pred, tuples: tuples})
 		}
 	}
-	sort.Strings(mpreds)
-	buf = binary.AppendUvarint(buf, uint64(len(mpreds)))
-	for _, pred := range mpreds {
-		tuples := n.lastMaterialized[pred]
-		buf = appendWireString(buf, pred)
-		buf = binary.AppendUvarint(buf, uint64(len(tuples)))
-		for _, t := range tuples {
-			if buf, err = appendWireVals(buf, t.Vals); err != nil {
-				return nil, fmt.Errorf("core: checkpoint of %s: materialization %s: %w", n.Addr, pred, err)
-			}
-		}
+	sort.Slice(mats, func(i, j int) bool { return mats[i].pred < mats[j].pred })
+	if buf, err = appendTuples(buf, mats); err != nil {
+		return fail(fmt.Errorf("materialization %w", err))
 	}
 
-	// Replica mirrors (sent, then recv).
+	// Replica mirrors (sent, then recv), each peer's encoded as a resync
+	// record's mirrors.
 	for _, mirrors := range []map[string]map[string]*mirrorSet{n.repl.sent, n.repl.recv} {
 		var peers []string
 		for peer := range mirrors {
@@ -178,23 +169,13 @@ func (n *Node) exportCheckpointLocked() ([]byte, error) {
 		sort.Strings(peers)
 		buf = binary.AppendUvarint(buf, uint64(len(peers)))
 		for _, peer := range peers {
-			byPred := mirrors[peer]
-			buf = appendWireString(buf, peer)
-			preds := sortedMirrorPreds(byPred)
-			buf = binary.AppendUvarint(buf, uint64(len(preds)))
-			for _, pred := range preds {
-				ms := byPred[pred]
-				buf = appendWireString(buf, pred)
-				buf = binary.AppendUvarint(buf, uint64(ms.live))
-				for _, e := range ms.entries {
-					if e.count <= 0 {
-						continue
-					}
-					buf = binary.AppendUvarint(buf, uint64(e.count))
-					if buf, err = appendWireVals(buf, e.vals); err != nil {
-						return nil, fmt.Errorf("core: checkpoint of %s: mirror %s: %w", n.Addr, pred, err)
-					}
-				}
+			preds := sortedMirrorPreds(mirrors[peer])
+			sets := make([]*mirrorSet, len(preds))
+			for i, pred := range preds {
+				sets[i] = mirrors[peer][pred]
+			}
+			if buf, err = appendMirrors(AppendWireString(buf, peer), preds, sets); err != nil {
+				return fail(err)
 			}
 		}
 	}
@@ -208,13 +189,13 @@ func (n *Node) exportCheckpointLocked() ([]byte, error) {
 func (n *Node) ImportCheckpoint(data []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	fail := func(what string) error {
-		return fmt.Errorf("core: importing checkpoint at %s: malformed %s", n.Addr, what)
+	fail := func(err error) error {
+		return fmt.Errorf("core: importing checkpoint at %s: %w", n.Addr, err)
 	}
 	if len(data) == 0 || data[0] != checkpointVersion {
-		return fail("header")
+		return fail(fmt.Errorf("malformed header"))
 	}
-	rest := data[1:]
+	d := dec{b: data[1:]}
 
 	// Reset every table and the derived runtime state.
 	for _, t := range n.tables {
@@ -236,155 +217,64 @@ func (n *Node) ImportCheckpoint(data []byte) error {
 	n.LastSolveResult = nil
 
 	// Tables.
-	nTables, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return fail("table count")
-	}
-	rest = rest[w:]
-	for i := uint64(0); i < nTables; i++ {
-		name, r, ok := readWireString(rest)
-		if !ok {
-			return fail("table name")
-		}
-		rest = r
+	for i, nt := 0, d.count("table count"); i < nt && d.err == nil; i++ {
+		name := d.str("table name")
+		arity := d.uvarint("arity")
 		t := n.tables[name]
+		if d.err != nil {
+			break
+		}
 		if t == nil {
-			return fmt.Errorf("core: importing checkpoint at %s: unknown table %s (program mismatch?)", n.Addr, name)
+			return fail(fmt.Errorf("unknown table %s (program mismatch?)", name))
 		}
-		arity, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return fail("arity")
+		if arity != uint64(t.arity) {
+			return fail(fmt.Errorf("table %s arity %d, checkpoint has %d", name, t.arity, arity))
 		}
-		rest = rest[w:]
-		if int(arity) != t.arity {
-			return fmt.Errorf("core: importing checkpoint at %s: table %s arity %d, checkpoint has %d", n.Addr, name, t.arity, arity)
-		}
-		if t.nextSeq, w = binary.Uvarint(rest); w <= 0 {
-			return fail("next seq")
-		}
-		rest = rest[w:]
-		nRows, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return fail("row count")
-		}
-		rest = rest[w:]
-		for j := uint64(0); j < nRows; j++ {
-			seq, w := binary.Uvarint(rest)
-			if w <= 0 {
-				return fail("row seq")
+		t.nextSeq = d.uvarint("next seq")
+		var prev uint64
+		for j, nr := 0, d.count("row count"); j < nr && d.err == nil; j++ {
+			// Rows are exported in seq order, and live seqs are unique.
+			seq := d.uvarint("row seq")
+			if j > 0 && seq <= prev {
+				d.fail("row seq")
 			}
-			rest = rest[w:]
-			count, w := binary.Uvarint(rest)
-			if w <= 0 {
-				return fail("row visibility count")
-			}
-			rest = rest[w:]
-			base, w := binary.Uvarint(rest)
-			if w <= 0 {
-				return fail("row base count")
-			}
-			rest = rest[w:]
-			vals, r, err := readWireVals(rest)
-			if err != nil {
-				return fail("row values")
-			}
-			rest = r
-			if len(vals) != t.arity {
-				return fail("row arity")
+			prev = seq
+			count := d.uvarint("row visibility count")
+			base := d.uvarint("row base count")
+			vals := d.vals("row values")
+			if d.err != nil || len(vals) != t.arity {
+				d.fail("row values")
+				break
 			}
 			t.keyScratch = t.appendRowKey(t.keyScratch[:0], vals)
 			t.rows[string(t.keyScratch)] = store.Row{Vals: vals, Count: int(count), Base: int(base), Seq: seq}
 		}
-		nFreed, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return fail("freed-seq count")
-		}
-		rest = rest[w:]
-		for j := uint64(0); j < nFreed; j++ {
-			key, r, ok := readWireString(rest)
-			if !ok {
-				return fail("freed-seq key")
-			}
-			rest = r
-			seq, w := binary.Uvarint(rest)
-			if w <= 0 {
-				return fail("freed-seq value")
-			}
-			rest = rest[w:]
+		for j, nf := 0, d.count("freed-seq count"); j < nf && d.err == nil; j++ {
 			if t.freedSeq == nil {
 				t.freedSeq = map[string]uint64{}
 			}
-			t.freedSeq[key] = seq
+			key := d.str("freed-seq key")
+			t.freedSeq[key] = d.uvarint("freed-seq value")
 		}
 	}
 
 	// Aggregate views.
-	nAggs, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return fail("aggregate count")
-	}
-	rest = rest[w:]
-	for i := uint64(0); i < nAggs; i++ {
-		ruleIdx, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return fail("aggregate rule index")
-		}
-		rest = rest[w:]
-		if len(rest) == 0 {
-			return fail("aggregate function")
-		}
-		st := &aggState{fn: colog.AggFunc(rest[0]), groups: map[string]*aggGroup{}}
-		rest = rest[1:]
-		nGroups, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return fail("aggregate group count")
-		}
-		rest = rest[w:]
-		for j := uint64(0); j < nGroups; j++ {
-			groupVals, r, err := readWireVals(rest)
-			if err != nil {
-				return fail("aggregate group key")
-			}
-			rest = r
-			g := &aggGroup{groupVals: groupVals, items: map[string]*aggItem{}, intOnly: true}
-			if len(rest) == 0 {
-				return fail("aggregate emitted flag")
-			}
-			hasEmitted := rest[0] != 0
-			rest = rest[1:]
-			if hasEmitted {
-				pred, r, ok := readWireString(rest)
-				if !ok {
-					return fail("aggregate emitted predicate")
+	for i, na := 0, d.count("aggregate count"); i < na && d.err == nil; i++ {
+		ruleIdx := int(d.uvarint("aggregate rule index"))
+		st := &aggState{fn: colog.AggFunc(d.byte("aggregate function")), groups: map[string]*aggGroup{}}
+		for j, ng := 0, d.count("aggregate group count"); j < ng && d.err == nil; j++ {
+			g := &aggGroup{groupVals: d.vals("aggregate group key"), items: map[string]*aggItem{}, intOnly: true}
+			g.emitted = d.optTuple()
+			for k, ni := 0, d.count("aggregate item count"); k < ni && d.err == nil; k++ {
+				vals := d.vals("aggregate item value")
+				count := int(d.uvarint("aggregate item multiplicity"))
+				if d.err != nil || len(vals) != 1 {
+					d.fail("aggregate item value")
+					break
 				}
-				rest = r
-				vals, r2, err := readWireVals(rest)
-				if err != nil {
-					return fail("aggregate emitted values")
-				}
-				rest = r2
-				t := Tuple{pred, vals}
-				g.emitted = &t
-			}
-			nItems, w := binary.Uvarint(rest)
-			if w <= 0 {
-				return fail("aggregate item count")
-			}
-			rest = rest[w:]
-			for k := uint64(0); k < nItems; k++ {
-				vals, r, err := readWireVals(rest)
-				if err != nil || len(vals) != 1 {
-					return fail("aggregate item value")
-				}
-				rest = r
-				count, w := binary.Uvarint(rest)
-				if w <= 0 {
-					return fail("aggregate item multiplicity")
-				}
-				rest = rest[w:]
 				v := vals[0]
-				g.items[string(v.AppendKey(nil))] = &aggItem{val: v, count: int(count)}
-				g.total += int(count)
+				g.items[string(v.AppendKey(nil))] = &aggItem{val: v, count: count}
+				g.total += count
 				if v.Kind == colog.KindInt {
 					a := v.I
 					if a < 0 {
@@ -396,95 +286,31 @@ func (n *Node) ImportCheckpoint(data []byte) error {
 					g.intOnly = false
 				}
 			}
-			st.groups[valsKey(groupVals)] = g
+			st.groups[valsKey(g.groupVals)] = g
 		}
-		n.aggs[int(ruleIdx)] = st
+		n.aggs[ruleIdx] = st
 	}
 
 	// Solver materialization memory.
-	nMat, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return fail("materialization count")
-	}
-	rest = rest[w:]
-	for i := uint64(0); i < nMat; i++ {
-		pred, r, ok := readWireString(rest)
-		if !ok {
-			return fail("materialization predicate")
-		}
-		rest = r
-		nTuples, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return fail("materialization tuple count")
-		}
-		rest = rest[w:]
-		tuples := make([]Tuple, 0, nTuples)
-		for j := uint64(0); j < nTuples; j++ {
-			vals, r, err := readWireVals(rest)
-			if err != nil {
-				return fail("materialization values")
-			}
-			rest = r
-			tuples = append(tuples, Tuple{pred, vals})
-		}
-		n.lastMaterialized[pred] = tuples
+	for _, mt := range d.tuples() {
+		n.lastMaterialized[mt.pred] = mt.tuples
 	}
 
 	// Replica mirrors.
 	for _, mirrors := range []map[string]map[string]*mirrorSet{n.repl.sent, n.repl.recv} {
-		nPeers, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return fail("mirror peer count")
-		}
-		rest = rest[w:]
-		for i := uint64(0); i < nPeers; i++ {
-			peer, r, ok := readWireString(rest)
-			if !ok {
-				return fail("mirror peer")
+		for i, np := 0, d.count("mirror peer count"); i < np && d.err == nil; i++ {
+			peer := d.str("mirror peer")
+			preds, sets := d.mirrors()
+			if mirrors[peer] == nil {
+				mirrors[peer] = map[string]*mirrorSet{}
 			}
-			rest = r
-			nPreds, w := binary.Uvarint(rest)
-			if w <= 0 {
-				return fail("mirror table count")
-			}
-			rest = rest[w:]
-			for j := uint64(0); j < nPreds; j++ {
-				pred, r, ok := readWireString(rest)
-				if !ok {
-					return fail("mirror predicate")
-				}
-				rest = r
-				nEntries, w := binary.Uvarint(rest)
-				if w <= 0 {
-					return fail("mirror entry count")
-				}
-				rest = rest[w:]
-				ms := &mirrorSet{index: map[string]int{}}
-				for k := uint64(0); k < nEntries; k++ {
-					count, w := binary.Uvarint(rest)
-					if w <= 0 || count == 0 {
-						return fail("mirror entry multiplicity")
-					}
-					rest = rest[w:]
-					vals, r, err := readWireVals(rest)
-					if err != nil {
-						return fail("mirror entry values")
-					}
-					rest = r
-					key := valsKey(vals)
-					ms.entries = append(ms.entries, mirrorEntry{key: key, hash: fnvHash(key), vals: vals, count: int(count)})
-					ms.index[key] = len(ms.entries) - 1
-					ms.live++
-				}
-				if mirrors[peer] == nil {
-					mirrors[peer] = map[string]*mirrorSet{}
-				}
-				mirrors[peer][pred] = ms
+			for j, pred := range preds {
+				mirrors[peer][pred] = sets[j]
 			}
 		}
 	}
-	if len(rest) != 0 {
-		return fail("trailer")
+	if err := d.end(); err != nil {
+		return fail(err)
 	}
 	return nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
+	"testing"
 )
 
 // CompileCount reports how many times Compile has run in this process.
@@ -79,4 +81,117 @@ func stepsText(steps []planStep) string {
 		}
 	}
 	return b.String()
+}
+
+// RecoverySrc, RecoveryConfig and SeedRecoveryNode expose the recovery
+// suite's program to the codec tests.
+const RecoverySrc = recoverySrc
+
+func RecoveryConfig() Config { return recoveryConfig() }
+
+func SeedRecoveryNode(t testing.TB, n *Node, addr, next string) { seedRecoveryNode(t, n, addr, next) }
+
+// RecodeLogRecord decodes a log record payload of any type but checkpoint
+// with the replay decoders and re-encodes it with the logging encoders.
+func RecodeLogRecord(rec []byte) ([]byte, error) {
+	if len(rec) == 0 {
+		return nil, fmt.Errorf("empty record")
+	}
+	switch rec[0] {
+	case walRecUpdate:
+		origin, pred, sign, vals, err := decodeWALUpdate(rec)
+		if err != nil {
+			return nil, err
+		}
+		return encodeWALUpdate(nil, origin, pred, sign, vals)
+	case walRecSolve:
+		mats, goal, err := decodeWALSolve(rec)
+		if err != nil {
+			return nil, err
+		}
+		return encodeWALSolve(mats, goal)
+	case walRecInvokeDone:
+		if len(rec) != 1 {
+			return nil, fmt.Errorf("trailing bytes in invoke-done record")
+		}
+		return rec, nil
+	case walRecResync:
+		// replayResync's decode, without the apply.
+		d := dec{b: rec[1:]}
+		peer := d.str("resync peer")
+		names, sets := d.mirrors()
+		plan := d.resyncPlan()
+		if err := d.end(); err != nil {
+			return nil, err
+		}
+		return encodeWALResync(peer, names, sets, plan)
+	}
+	return nil, fmt.Errorf("record type %d", rec[0])
+}
+
+// RecodeDeltaFrame decodes a delta or batch frame and re-encodes its
+// deltas, merged into one frame.
+func RecodeDeltaFrame(frame []byte) ([]byte, error) {
+	wds, err := decodeDeltas(frame)
+	if err != nil {
+		return nil, err
+	}
+	payloads := make([][]byte, len(wds))
+	for i, wd := range wds {
+		if payloads[i], err = encodeDelta(wd.Pred, wd.Vals, wd.Sign); err != nil {
+			return nil, err
+		}
+	}
+	frames, err := MergeDeltaPayloads(payloads)
+	if err != nil || len(frames) != 1 {
+		return nil, fmt.Errorf("%d deltas re-encode to %d frames: %v", len(wds), len(frames), err)
+	}
+	return frames[0], nil
+}
+
+// RecodeResyncFrame decodes a resync digest or rows frame and re-encodes
+// it as the same chunk of the same exchange.
+func RecodeResyncFrame(frame []byte) ([]byte, error) {
+	if len(frame) == 0 {
+		return nil, fmt.Errorf("empty frame")
+	}
+	var w *frameWriter
+	var idx, total uint32
+	add := func(name string, chunk []byte) {
+		w.cur = append(AppendWireString(w.cur, name), chunk...)
+		w.tables++
+	}
+	switch frame[0] {
+	case wireResyncDigestVersion:
+		mode, xid, i, n, tables, err := decodeDigestFrame(frame)
+		if err != nil {
+			return nil, err
+		}
+		w, idx, total = newFrameWriter([]byte{wireResyncDigestVersion, mode}, binary.LittleEndian.AppendUint64(nil, xid)), i, n
+		w.open()
+		for _, t := range tables {
+			add(t.name, appendDigestTable(nil, t))
+		}
+	case wireResyncRowsVersion:
+		xid, i, n, tables, err := decodeRowsFrame(frame)
+		if err != nil {
+			return nil, err
+		}
+		w, idx, total = newFrameWriter([]byte{wireResyncRowsVersion}, binary.LittleEndian.AppendUint64(nil, xid)), i, n
+		w.open()
+		for _, t := range tables {
+			chunk := binary.AppendUvarint(nil, uint64(len(t.entries)))
+			for _, e := range t.entries {
+				chunk = appendRowsEntry(chunk, e)
+			}
+			add(t.name, chunk)
+		}
+	default:
+		return nil, fmt.Errorf("frame version %d", frame[0])
+	}
+	w.closeFrame()
+	f := w.frames[0]
+	binary.LittleEndian.PutUint32(f[w.idxFix:], idx)
+	binary.LittleEndian.PutUint32(f[w.idxFix+4:], total)
+	return f, nil
 }

@@ -10,11 +10,11 @@ package core
 //     evaluation state — every table's rows *with their arrival-order seq
 //     numbers*, the incremental aggregate views, the solver materialization
 //     memory, and the replica mirrors below — into a versioned binary
-//     snapshot built on the same varint wire primitives as the delta codec
-//     (tuple.go). ImportCheckpoint (via RestoreNode) installs it verbatim:
-//     because seq numbers survive, a restored node's join enumeration,
-//     derivation order, and therefore its solver traces are byte-identical
-//     to a node that never failed.
+//     snapshot built from the primitives of codec.go (grammar in wal.go).
+//     ImportCheckpoint (via RestoreNode) installs it verbatim: because seq
+//     numbers survive, a restored node's join enumeration, derivation
+//     order, and therefore its solver traces are byte-identical to a node
+//     that never failed.
 //
 //   - Replica mirrors + digest resync: every non-event tuple a node ships
 //     is recorded in a sent-side mirror (what I have asserted at that
@@ -205,19 +205,14 @@ func (r *replica) noteRecv(peer, pred string, vals []colog.Value, sign int) {
 
 // ------------------------------------------------------------- wire framing
 
-// Digest frame (wireResyncDigestVersion): [ver][mode][8-byte exchange id]
-// [4-byte chunk index][4-byte chunk total][count byte nTables] then per
-// table chunk: name, uvarint liveCount, 8-byte order hash, uvarint
-// nHashes, nHashes x 8-byte row hashes. mode 1 asks the responder to also
-// start its own pull back toward the requester (the bidirectional exchange
-// a restart runs); mode 0 is a plain pull.
-//
-// Rows frame (wireResyncRowsVersion): [ver][8-byte exchange id][4-byte
-// chunk index][4-byte chunk total][count byte nTables] then per table
-// chunk: name, uvarint nEntries, per entry a flag byte — 0 (ref): the
-// requester already holds the row, 8-byte row hash + uvarint count; 1
-// (full): uvarint count + encoded values. The per-table entry list is the
-// responder's authoritative assertion state *in mirror order*, so the
+// Both frame grammars are in wal.go. A digest frame carries, per table
+// chunk, the live row count, the order hash and the row hashes of the
+// requester's receive-side mirror; its mode byte 1 asks the responder to
+// also start its own pull back toward the requester (the bidirectional
+// exchange a restart runs), mode 0 is a plain pull. A rows frame carries,
+// per table chunk, the responder's authoritative assertion state *in
+// mirror order* — per entry either a reference (row hash and count) to a
+// row the requester already holds, or the count and full values — so the
 // requester can rebuild its receive-side mirror positionally.
 //
 // Large tables split across chunks (and frames) at maxBatchFrameBytes; the
@@ -315,7 +310,7 @@ func (w *frameWriter) add(name string, chunk []byte) {
 		w.closeFrame()
 	}
 	w.open()
-	w.cur = appendWireString(w.cur, name)
+	w.cur = AppendWireString(w.cur, name)
 	w.cur = append(w.cur, chunk...)
 	w.tables++
 	if w.tables == 255 { // table count is a single byte; chunk generously below it
@@ -416,13 +411,7 @@ func (n *Node) buildDigestFramesLocked(peer string, mode byte, xid uint64) [][]b
 		count, orderHash := ms.digest()
 		first := true
 		emit := func(hashes []uint64) {
-			chunk := binary.AppendUvarint(nil, uint64(count))
-			chunk = binary.LittleEndian.AppendUint64(chunk, orderHash)
-			chunk = binary.AppendUvarint(chunk, uint64(len(hashes)))
-			for _, h := range hashes {
-				chunk = binary.LittleEndian.AppendUint64(chunk, h)
-			}
-			w.add(pred, chunk)
+			w.add(pred, appendDigestTable(nil, &digestTable{count: uint64(count), orderHash: orderHash, hashes: hashes}))
 			first = false
 		}
 		var hashes []uint64
@@ -589,15 +578,8 @@ func (n *Node) buildRowsFramesLocked(peer string, xid uint64, reqOrder []string,
 			if e.count <= 0 {
 				continue
 			}
-			if reqHashes[e.hash] {
-				chunk = append(chunk, 0)
-				chunk = binary.LittleEndian.AppendUint64(chunk, e.hash)
-				chunk = binary.AppendUvarint(chunk, uint64(e.count))
-			} else {
-				chunk = append(chunk, 1)
-				chunk = binary.AppendUvarint(chunk, uint64(e.count))
-				chunk, _ = appendWireVals(chunk, e.vals)
-			}
+			full := !reqHashes[e.hash]
+			chunk = appendRowsEntry(chunk, rowsEntry{full: full, hash: e.hash, count: uint64(e.count), vals: e.vals})
 			entries++
 			if entries == chunkLimit || len(chunk) >= maxBatchFrameBytes/2 {
 				emit()
@@ -672,7 +654,8 @@ func (n *Node) handleResyncRows(from string, payload []byte) error {
 	// update plan under the lock; apply it after releasing (updateFrom
 	// re-locks per row, and applying can trigger sends).
 	var plan []resyncOp
-	var recTables []resyncMirror
+	var recNames []string
+	var recSets []*mirrorSet
 	var firstErr error
 	for _, name := range tableOrder {
 		t := byName[name]
@@ -738,7 +721,8 @@ func (n *Node) handleResyncRows(from string, payload []byte) error {
 			}
 		}
 		n.repl.recv[from][name] = next
-		recTables = append(recTables, resyncMirror{name: name, entries: next.entries})
+		recNames = append(recNames, name)
+		recSets = append(recSets, next)
 	}
 	// Log the whole exchange — mirror installs plus the update plan — as
 	// one atomic record before applying. Logging the mirror without the
@@ -746,8 +730,8 @@ func (n *Node) handleResyncRows(from string, payload []byte) error {
 	// the peer asserted rows its tables never received: the digests would
 	// match and the divergence would never heal. One record means a torn
 	// write drops both, and the stale mirror triggers a fresh pull.
-	if len(recTables)+len(plan) > 0 {
-		n.walResync(from, recTables, plan)
+	if len(recNames)+len(plan) > 0 {
+		n.walResync(from, recNames, recSets, plan)
 	}
 	n.mu.Unlock()
 
@@ -773,127 +757,99 @@ func (n *Node) handleResyncRows(from string, payload []byte) error {
 	return firstErr
 }
 
-// ------------------------------------------------------------ frame decoding
+// ------------------------------------------------------------ frame codec
+
+// appendDigestTable appends one digest table chunk, sans name.
+func appendDigestTable(buf []byte, t *digestTable) []byte {
+	buf = binary.AppendUvarint(buf, t.count)
+	buf = binary.LittleEndian.AppendUint64(buf, t.orderHash)
+	buf = binary.AppendUvarint(buf, uint64(len(t.hashes)))
+	for _, h := range t.hashes {
+		buf = binary.LittleEndian.AppendUint64(buf, h)
+	}
+	return buf
+}
+
+// appendRowsEntry appends one rows-frame entry: a reference to a row the
+// requester holds, or the row's values.
+func appendRowsEntry(buf []byte, e rowsEntry) []byte {
+	if !e.full {
+		buf = binary.LittleEndian.AppendUint64(append(buf, 0), e.hash)
+		return binary.AppendUvarint(buf, e.count)
+	}
+	// A mirror holds only values a table or the decoder accepted, so every
+	// kind is one AppendWireValues encodes.
+	buf, _ = AppendWireValues(binary.AppendUvarint(append(buf, 1), e.count), e.vals)
+	return buf
+}
+
+// frameHeader reads the chunk header shared by both resync frames after
+// the version (and mode) bytes: exchange id, chunk index and total, and
+// the table count.
+func (d *dec) frameHeader() (xid uint64, idx, total uint32, nTables int) {
+	xid, idx, total = d.u64("header"), d.u32("header"), d.u32("header")
+	nTables = int(d.byte("header"))
+	if d.err == nil && (total == 0 || idx >= total) {
+		d.fail("chunk index")
+	}
+	return xid, idx, total, nTables
+}
 
 func decodeDigestFrame(payload []byte) (mode byte, xid uint64, idx, total uint32, tables []*digestTable, err error) {
-	fail := func(what string) (byte, uint64, uint32, uint32, []*digestTable, error) {
-		return 0, 0, 0, 0, nil, fmt.Errorf("core: decoding resync digest: malformed %s", what)
+	d := dec{b: payload}
+	if d.byte("header") != wireResyncDigestVersion {
+		d.fail("header")
 	}
-	if len(payload) < 19 || payload[0] != wireResyncDigestVersion {
-		return fail("header")
-	}
-	mode = payload[1]
-	xid = binary.LittleEndian.Uint64(payload[2:])
-	idx = binary.LittleEndian.Uint32(payload[10:])
-	total = binary.LittleEndian.Uint32(payload[14:])
-	if total == 0 || idx >= total {
-		return fail("chunk index")
-	}
-	nTables := int(payload[18])
-	rest := payload[19:]
-	for i := 0; i < nTables; i++ {
-		name, r, ok := readWireString(rest)
-		if !ok {
-			return fail("table name")
+	mode = d.byte("header")
+	xid, idx, total, nTables := d.frameHeader()
+	for i := 0; i < nTables && d.err == nil; i++ {
+		t := &digestTable{name: d.str("table name"), count: d.uvarint("row count"), orderHash: d.u64("order hash")}
+		if n := d.count("hash count"); 8*n <= len(d.b)-d.off {
+			t.hashes = make([]uint64, n)
+		} else {
+			d.fail("row hashes")
 		}
-		rest = r
-		count, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return fail("row count")
-		}
-		rest = rest[w:]
-		if len(rest) < 8 {
-			return fail("order hash")
-		}
-		orderHash := binary.LittleEndian.Uint64(rest)
-		rest = rest[8:]
-		nHashes, w := binary.Uvarint(rest)
-		if w <= 0 || nHashes > uint64(len(rest)) {
-			return fail("hash count")
-		}
-		rest = rest[w:]
-		if uint64(len(rest)) < 8*nHashes {
-			return fail("row hashes")
-		}
-		t := &digestTable{name: name, count: count, orderHash: orderHash}
-		for j := uint64(0); j < nHashes; j++ {
-			t.hashes = append(t.hashes, binary.LittleEndian.Uint64(rest))
-			rest = rest[8:]
+		for j := range t.hashes {
+			t.hashes[j] = d.u64("row hashes")
 		}
 		tables = append(tables, t)
 	}
-	if len(rest) != 0 {
-		return fail("trailer")
+	if err := d.end(); err != nil {
+		return 0, 0, 0, 0, nil, fmt.Errorf("core: decoding resync digest: %w", err)
 	}
 	return mode, xid, idx, total, tables, nil
 }
 
 func decodeRowsFrame(payload []byte) (xid uint64, idx, total uint32, tables []*rowsTable, err error) {
-	fail := func(what string) (uint64, uint32, uint32, []*rowsTable, error) {
-		return 0, 0, 0, nil, fmt.Errorf("core: decoding resync rows: malformed %s", what)
+	d := dec{b: payload}
+	if d.byte("header") != wireResyncRowsVersion {
+		d.fail("header")
 	}
-	if len(payload) < 18 || payload[0] != wireResyncRowsVersion {
-		return fail("header")
-	}
-	xid = binary.LittleEndian.Uint64(payload[1:])
-	idx = binary.LittleEndian.Uint32(payload[9:])
-	total = binary.LittleEndian.Uint32(payload[13:])
-	if total == 0 || idx >= total {
-		return fail("chunk index")
-	}
-	nTables := int(payload[17])
-	rest := payload[18:]
-	for i := 0; i < nTables; i++ {
-		name, r, ok := readWireString(rest)
-		if !ok {
-			return fail("table name")
-		}
-		rest = r
-		nEntries, w := binary.Uvarint(rest)
-		if w <= 0 || nEntries > uint64(len(rest))+1 {
-			return fail("entry count")
-		}
-		rest = rest[w:]
-		t := &rowsTable{name: name}
-		for j := uint64(0); j < nEntries; j++ {
-			if len(rest) == 0 {
-				return fail("entry flag")
-			}
-			flag := rest[0]
-			rest = rest[1:]
-			switch flag {
+	xid, idx, total, nTables := d.frameHeader()
+	for i := 0; i < nTables && d.err == nil; i++ {
+		t := &rowsTable{name: d.str("table name")}
+		for j, n := 0, d.count("entry count"); j < n && d.err == nil; j++ {
+			var e rowsEntry
+			switch d.byte("entry flag") {
 			case 0:
-				if len(rest) < 8 {
-					return fail("row hash")
-				}
-				h := binary.LittleEndian.Uint64(rest)
-				rest = rest[8:]
-				count, w := binary.Uvarint(rest)
-				if w <= 0 || count == 0 {
-					return fail("ref count")
-				}
-				rest = rest[w:]
-				t.entries = append(t.entries, rowsEntry{hash: h, count: count})
+				e.hash = d.u64("row hash")
 			case 1:
-				count, w := binary.Uvarint(rest)
-				if w <= 0 || count == 0 {
-					return fail("row count")
-				}
-				rest = rest[w:]
-				vals, r, err := readWireVals(rest)
-				if err != nil {
-					return fail("row values")
-				}
-				rest = r
-				t.entries = append(t.entries, rowsEntry{full: true, count: count, vals: vals})
+				e.full = true
 			default:
-				return fail("entry flag")
+				d.fail("entry flag")
 			}
+			if e.count = d.uvarint("row count"); e.count == 0 {
+				d.fail("row count")
+			}
+			if e.full {
+				e.vals = d.vals("row values")
+			}
+			t.entries = append(t.entries, e)
 		}
 		tables = append(tables, t)
 	}
-	if len(rest) != 0 {
-		return fail("trailer")
+	if err := d.end(); err != nil {
+		return 0, 0, 0, nil, fmt.Errorf("core: decoding resync rows: %w", err)
 	}
 	return xid, idx, total, tables, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/colog"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -174,17 +177,113 @@ func TestCheckpointRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Without a solve or a link the checkpoint ends with three zero counts:
+	// the materialization section and both mirror sections. Counts of 2^62
+	// spliced in there must not size an allocation.
+	if !bytes.HasSuffix(cp, []byte{0, 0, 0}) {
+		t.Fatalf("checkpoint does not end with empty materialization and mirror sections: %x", cp)
+	}
+	tail := cp[:len(cp)-3]
+	splice := func(parts ...[]byte) []byte {
+		return bytes.Join(append([][]byte{tail}, parts...), nil)
+	}
+	huge := binary.AppendUvarint(nil, 1<<62)
 	bad := [][]byte{
 		nil,
 		{},
 		{0xFF},
-		cp[:1],
-		cp[:len(cp)/2],
 		append(append([]byte(nil), cp...), 0x01),
+		splice(huge, []byte{0, 0}), // materialization count
+		splice([]byte{1}, AppendWireString(nil, "cost"), huge, []byte{0, 0}), // tuple count
+		splice([]byte{0}, huge, []byte{0}),                                   // mirror peer count
+		splice([]byte{0, 1}, AppendWireString(nil, "b"), huge),               // mirror table count
+	}
+	for i := range cp {
+		bad = append(bad, cp[:i])
+	}
+	p, err := Compile(res, recoveryConfig().Keys, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i, data := range bad {
-		if _, err := RestoreNode("a", res, recoveryConfig(), nil, data); err == nil {
+		if _, err := p.RestoreNode("a", recoveryConfig(), nil, data); err == nil {
 			t.Fatalf("malformed checkpoint %d accepted", i)
+		}
+	}
+}
+
+// TestLogRecordRejectsMalformed: a CRC-valid log record that does not
+// decode fails the replay with an error, never a panic — every strict
+// prefix of a real record, and counts of 2^62 that would size allocations
+// far beyond the record.
+func TestLogRecordRejectsMalformed(t *testing.T) {
+	res := recoveryProgram(t)
+	p, err := Compile(res, recoveryConfig().Keys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func(recs ...[]byte) error {
+		st, err := store.Open("disk", t.TempDir(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		for _, rec := range recs {
+			if err := st.Log().Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg := recoveryConfig()
+		cfg.Storage = st
+		_, err = p.ReplayNode("a", cfg, nil)
+		return err
+	}
+
+	// A real log: updates and a solve record.
+	st, err := store.Open("disk", t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg := recoveryConfig()
+	cfg.Storage = st
+	n, err := p.NewNode("a", cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedRecoveryNode(t, n, "a", "")
+	if _, err := n.Solve(SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := st.Log().ReadRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replay(recs...); err != nil {
+		t.Fatalf("the intact log does not replay: %v", err)
+	}
+
+	huge := binary.AppendUvarint(nil, 1<<62)
+	str := func(s string) []byte { return AppendWireString(nil, s) }
+	bad := [][]byte{
+		{},
+		{99},
+		bytes.Join([][]byte{{walRecSolve}, huge}, nil),                             // solve table count
+		bytes.Join([][]byte{{walRecSolve, 1}, str("pick"), huge}, nil),             // solve tuple count
+		bytes.Join([][]byte{{walRecResync}, str("b"), huge}, nil),                  // resync table count
+		bytes.Join([][]byte{{walRecResync}, str("b"), {1}, str("got"), huge}, nil), // resync entry count
+		bytes.Join([][]byte{{walRecResync}, str("b"), {0}, huge}, nil),             // resync op count
+		bytes.Join([][]byte{{walRecUpdate}, str(""), str("need"), {2}, huge}, nil), // value count
+	}
+	for _, rec := range recs {
+		bad = append(bad, append(append([]byte(nil), rec...), 0))
+		for i := 1; i < len(rec); i++ {
+			bad = append(bad, rec[:i])
+		}
+	}
+	for i, rec := range bad {
+		if err := replay(rec); err == nil {
+			t.Fatalf("malformed record %d (%x) replayed", i, rec)
 		}
 	}
 }

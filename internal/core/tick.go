@@ -156,28 +156,3 @@ func DiffDecisions(prev, next []Assignment) []DecisionDelta {
 	})
 	return deltas
 }
-
-// AppendWireValues appends a value list in the engine's per-value
-// kind-tagged wire layout (uvarint count, then kind byte + payload per
-// value). Exported for the serving churn-stream codec, which frames churn
-// events with the same primitives as delta, checkpoint, and resync frames.
-func AppendWireValues(buf []byte, vals []colog.Value) ([]byte, error) {
-	return appendWireVals(buf, vals)
-}
-
-// ReadWireValues parses a value list written by AppendWireValues and
-// returns the remaining bytes.
-func ReadWireValues(rest []byte) ([]colog.Value, []byte, error) {
-	return readWireVals(rest)
-}
-
-// AppendWireString appends a uvarint-length-prefixed string.
-func AppendWireString(buf []byte, s string) []byte {
-	return appendWireString(buf, s)
-}
-
-// ReadWireString parses a string written by AppendWireString; ok is false
-// on a malformed prefix or truncated body.
-func ReadWireString(rest []byte) (s string, rem []byte, ok bool) {
-	return readWireString(rest)
-}

@@ -11,7 +11,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 
@@ -131,20 +130,18 @@ type wireDelta struct {
 // Deltas travel in a compact self-describing binary format instead of gob:
 // gob ships full type descriptors and compiles a decode engine per
 // Encoder/Decoder pair, which for the one-shot datagrams Cologne exchanges
-// (UDP semantics, one delta per message) dominated message handling. The
-// layout is one version byte, then pred (uvarint length + bytes), sign
-// (varint), value count (uvarint), and per value a kind byte followed by a
-// varint (int), 8 little-endian bytes (float), uvarint length + bytes
-// (string), or one byte (bool). Malformed payloads return an error, never
-// panic (TestMalformedMessageIgnored).
+// (UDP semantics, one delta per message) dominated message handling. A
+// version-1 frame is one delta: its predicate, sign and values (the
+// grammar is in wal.go). Malformed payloads return an error, never panic
+// (TestMalformedMessageIgnored).
 //
 // A second frame version batches several deltas to one destination into a
-// single message: one wireBatchVersion byte, a uvarint delta count, then
-// each delta's body (everything after the version byte of a version-1
-// frame) back to back. Receivers apply the deltas in frame order, so a
-// batch is observationally identical to its unbatched sequence — only the
-// message count changes. Node.FlushOutbox and the cluster runtime's epoch
-// barrier build such frames per (epoch, destination) at scale.
+// single message: a delta count, then each delta's body (everything after
+// the version byte of a version-1 frame) back to back. Receivers apply the
+// deltas in frame order, so a batch is observationally identical to its
+// unbatched sequence — only the message count changes. Node.FlushOutbox
+// and the cluster runtime's epoch barrier build such frames per (epoch,
+// destination) at scale.
 const wireDeltaVersion = 1
 const wireBatchVersion = 2
 
@@ -171,94 +168,13 @@ const maxBatchFrameBytes = 60 * 1024
 func encodeDelta(pred string, vals []colog.Value, sign int) ([]byte, error) {
 	buf := getWireBuf(16 + len(pred) + 12*len(vals))
 	buf = append(buf, wireDeltaVersion)
-	buf = appendWireString(buf, pred)
+	buf = AppendWireString(buf, pred)
 	buf = binary.AppendVarint(buf, int64(sign))
 	var err error
-	if buf, err = appendWireVals(buf, vals); err != nil {
+	if buf, err = AppendWireValues(buf, vals); err != nil {
 		return nil, fmt.Errorf("core: encoding %s delta: %w", pred, err)
 	}
 	return buf, nil
-}
-
-// appendWireVals appends a uvarint value count followed by each value in
-// the per-value kind-tagged layout shared by delta, checkpoint, and resync
-// frames.
-func appendWireVals(buf []byte, vals []colog.Value) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(len(vals)))
-	for _, v := range vals {
-		buf = append(buf, byte(v.Kind))
-		switch v.Kind {
-		case colog.KindInt:
-			buf = binary.AppendVarint(buf, v.I)
-		case colog.KindFloat:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-		case colog.KindString:
-			buf = appendWireString(buf, v.S)
-		case colog.KindBool:
-			b := byte(0)
-			if v.B {
-				b = 1
-			}
-			buf = append(buf, b)
-		default:
-			return nil, fmt.Errorf("unknown value kind %d", v.Kind)
-		}
-	}
-	return buf, nil
-}
-
-// readWireVals parses a value list written by appendWireVals and returns
-// the remaining bytes.
-func readWireVals(rest []byte) ([]colog.Value, []byte, error) {
-	count, n := binary.Uvarint(rest)
-	if n <= 0 || count > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("malformed value count")
-	}
-	rest = rest[n:]
-	vals := make([]colog.Value, 0, count)
-	for i := uint64(0); i < count; i++ {
-		if len(rest) == 0 {
-			return nil, nil, fmt.Errorf("malformed value kind")
-		}
-		kind := colog.ValueKind(rest[0])
-		rest = rest[1:]
-		switch kind {
-		case colog.KindInt:
-			v, n := binary.Varint(rest)
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("malformed int value")
-			}
-			rest = rest[n:]
-			vals = append(vals, colog.IntVal(v))
-		case colog.KindFloat:
-			if len(rest) < 8 {
-				return nil, nil, fmt.Errorf("malformed float value")
-			}
-			vals = append(vals, colog.FloatVal(math.Float64frombits(binary.LittleEndian.Uint64(rest))))
-			rest = rest[8:]
-		case colog.KindString:
-			s, r, ok := readWireString(rest)
-			if !ok {
-				return nil, nil, fmt.Errorf("malformed string value")
-			}
-			vals = append(vals, colog.StringVal(s))
-			rest = r
-		case colog.KindBool:
-			if len(rest) == 0 {
-				return nil, nil, fmt.Errorf("malformed bool value")
-			}
-			vals = append(vals, colog.BoolVal(rest[0] != 0))
-			rest = rest[1:]
-		default:
-			return nil, nil, fmt.Errorf("malformed value kind")
-		}
-	}
-	return vals, rest, nil
-}
-
-func appendWireString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
 }
 
 // MergeDeltaPayloads combines already-encoded single-delta payloads (as
@@ -321,103 +237,48 @@ func mergeDeltaFrames(payloads [][]byte) ([][]byte, []int, error) {
 // decodeDeltas deserializes a transport payload into its tuple deltas:
 // exactly one for a version-1 frame, several in order for a batch frame.
 func decodeDeltas(payload []byte) ([]wireDelta, error) {
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("core: decoding delta: malformed header")
-	}
-	switch payload[0] {
-	case wireDeltaVersion:
-		wd, rest, err := decodeDeltaBody(payload[1:])
+	if len(payload) == 0 || payload[0] != wireBatchVersion {
+		wd, err := decodeDelta(payload)
 		if err != nil {
 			return nil, err
 		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("core: decoding delta: malformed trailer")
-		}
 		return []wireDelta{wd}, nil
-	case wireBatchVersion:
-		rest := payload[1:]
-		count, n := binary.Uvarint(rest)
-		if n <= 0 || count > uint64(len(rest)) {
-			return nil, fmt.Errorf("core: decoding delta batch: malformed count")
-		}
-		rest = rest[n:]
-		out := make([]wireDelta, 0, count)
-		for i := uint64(0); i < count; i++ {
-			wd, r, err := decodeDeltaBody(rest)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, wd)
-			rest = r
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("core: decoding delta batch: malformed trailer")
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("core: decoding delta: malformed header")
 	}
+	d := dec{b: payload[1:]}
+	out := make([]wireDelta, 0, d.count("count"))
+	for i := cap(out); i > 0 && d.err == nil; i-- {
+		out = append(out, d.delta())
+	}
+	if err := d.end(); err != nil {
+		return nil, fmt.Errorf("core: decoding delta batch: %w", err)
+	}
+	return out, nil
 }
 
-// decodeDelta deserializes a single-delta payload from the transport
-// without the slice detour of decodeDeltas — version-1 frames are the
-// dominant unbatched case on the receive path.
+// decodeDelta deserializes a version-1 (single-delta) frame without the
+// slice detour of decodeDeltas — unbatched frames dominate the receive
+// path, which hands every other frame to decodeDeltas.
 func decodeDelta(payload []byte) (wireDelta, error) {
-	if len(payload) == 0 {
+	if len(payload) == 0 || payload[0] != wireDeltaVersion {
 		return wireDelta{}, fmt.Errorf("core: decoding delta: malformed header")
 	}
-	if payload[0] != wireDeltaVersion {
-		wds, err := decodeDeltas(payload)
-		if err != nil {
-			return wireDelta{}, err
-		}
-		if len(wds) != 1 {
-			return wireDelta{}, fmt.Errorf("core: decoding delta: %d deltas in frame, want 1", len(wds))
-		}
-		return wds[0], nil
-	}
-	wd, rest, err := decodeDeltaBody(payload[1:])
-	if err != nil {
-		return wireDelta{}, err
-	}
-	if len(rest) != 0 {
-		return wireDelta{}, fmt.Errorf("core: decoding delta: malformed trailer")
+	d := dec{b: payload[1:]}
+	wd := d.delta()
+	if err := d.end(); err != nil {
+		return wireDelta{}, fmt.Errorf("core: decoding delta: %w", err)
 	}
 	return wd, nil
 }
 
-// decodeDeltaBody parses one delta body (a version-1 frame minus its
-// version byte) and returns the remaining bytes.
-func decodeDeltaBody(rest []byte) (wireDelta, []byte, error) {
-	fail := func(what string) (wireDelta, []byte, error) {
-		return wireDelta{}, nil, fmt.Errorf("core: decoding delta: malformed %s", what)
-	}
-	pred, rest, ok := readWireString(rest)
-	if !ok {
-		return fail("predicate")
-	}
-	sign, n := binary.Varint(rest)
-	if n <= 0 {
-		return fail("sign")
-	}
+// delta reads one delta body: a version-1 frame minus its version byte.
+func (d *dec) delta() wireDelta {
+	pred := d.str("predicate")
+	sign := d.varint("sign")
 	if sign != 1 && sign != -1 {
 		// Anything but an insert or a delete is a corrupt frame; letting it
 		// through would flow an unchecked sign into the delta pipeline
 		// (FuzzDecodeDeltas pins this).
-		return fail("sign")
+		d.fail("sign")
 	}
-	rest = rest[n:]
-	vals, rest, err := readWireVals(rest)
-	if err != nil {
-		return wireDelta{}, nil, fmt.Errorf("core: decoding delta: %v", err)
-	}
-	return wireDelta{Pred: pred, Sign: int(sign), Vals: vals}, rest, nil
-}
-
-func readWireString(buf []byte) (string, []byte, bool) {
-	n, w := binary.Uvarint(buf)
-	if w <= 0 || n > uint64(len(buf)-w) {
-		return "", nil, false
-	}
-	return string(buf[w : w+int(n)]), buf[w+int(n):], true
+	return wireDelta{Pred: pred, Sign: int(sign), Vals: d.vals("values")}
 }

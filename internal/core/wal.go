@@ -9,19 +9,57 @@ package core
 // replica mirrors, and ends in the same state, without retransmitting a
 // single tuple.
 //
-// Record payloads reuse the varint wire primitives of the delta codec
-// (tuple.go); framing/CRC/versioning live in internal/store.
+// Every payload below is built from the primitives of codec.go and parsed
+// through its one reader; framing, CRC and versioning of log records live
+// in internal/store. Notation: [x] is one field, (...)* repeats, (...)? is
+// optional; str is a uvarint length and the bytes, vals a uvarint count
+// and kind-tagged values, u32 and u64 fixed-width little-endian.
 //
 // Record grammar (first payload byte is the type):
 //
-//	update:     [1][origin][pred][varint sign][vals]
-//	solve:      [2][uvarint nTables]([pred][uvarint nTuples]([vals])*)*
-//	            [hasGoal byte]([pred][vals])?
+//	update:     [1][str origin][str pred][varint sign][vals]
+//	solve:      [2][tuples][optTuple goal]
 //	invokeDone: [3]
-//	resync:     [4][peer][uvarint nTables]([name][uvarint nEntries]
-//	            ([uvarint count][vals])*)*[uvarint nOps]
-//	            ([pred][varint sign][uvarint times][vals])*
-//	checkpoint: [5][checkpoint bytes (checkpoint.go)]
+//	resync:     [4][str peer][mirrors][uvarint nOps]
+//	            ([str pred][varint sign][uvarint times][vals])*
+//	checkpoint: [5][checkpoint]
+//
+// Sections that records and checkpoints share, one encoder and one decoder
+// each (codec.go):
+//
+//	tuples:     [uvarint nTables]([str pred][uvarint nTuples]([vals])*)*
+//	optTuple:   [byte present]([str pred][vals])?
+//	mirrors:    [uvarint nTables]([str name][uvarint live]
+//	            ([uvarint count][vals])*)*          live entries, mirror order
+//
+// A checkpoint (checkpoint.go) is its sections in this order; its
+// materialization section is encoded exactly as a solve record's tables,
+// and each peer's mirrors exactly as a resync record's:
+//
+//	checkpoint: [byte version=1]
+//	            [uvarint nTables]([str name][uvarint arity][uvarint nextSeq]
+//	              [uvarint nRows]([uvarint seq][uvarint count][uvarint base][vals])*
+//	              [uvarint nFreed]([str key][uvarint seq])*)*
+//	            [uvarint nAggs]([uvarint rule][byte fn][uvarint nGroups]
+//	              ([vals group][optTuple emitted]
+//	               [uvarint nItems]([vals item][uvarint count])*)*)*
+//	            [tuples materialization]
+//	            [uvarint nPeers]([str peer][mirrors])*    sent mirrors
+//	            [uvarint nPeers]([str peer][mirrors])*    receive mirrors
+//
+// Frames between nodes (first byte is the version): delta and batch frames
+// (tuple.go), and the two resync frames of one exchange chunk
+// (recovery.go):
+//
+//	delta:      [1][str pred][varint sign][vals]
+//	batch:      [2][uvarint n]([str pred][varint sign][vals])*
+//	digest:     [3][byte mode][u64 xid][u32 chunk][u32 total][byte nTables]
+//	            ([str name][uvarint live][u64 orderHash][uvarint nHashes]
+//	              ([u64 rowHash])*)*
+//	rows:       [4][u64 xid][u32 chunk][u32 total][byte nTables]
+//	            ([str name][uvarint nEntries]
+//	              ([byte 0][u64 rowHash][uvarint count] |
+//	               [byte 1][uvarint count][vals])*)*
 //
 // Solve records are bracketed: an invokeSolver event always appends an
 // invokeDone marker when the invoke finishes, preceded by a solve record
@@ -55,13 +93,6 @@ type resyncOp struct {
 	times int
 }
 
-// resyncMirror is one table's rebuilt receive-side mirror, logged together
-// with the plan so a replayed node's mirror and tables cannot disagree.
-type resyncMirror struct {
-	name    string
-	entries []mirrorEntry
-}
-
 // walAppend writes one record to the delta log, unsynced. Append failures
 // are sticky in the log: they land on LastError here and fail the next
 // commit, so nothing the log lost is ever published.
@@ -91,12 +122,7 @@ func (n *Node) walUpdate(pred string, vals []colog.Value, sign int, origin strin
 	if n.wal == nil || n.replaying {
 		return
 	}
-	buf := make([]byte, 0, 16+len(origin)+len(pred)+12*len(vals))
-	buf = append(buf, walRecUpdate)
-	buf = appendWireString(buf, origin)
-	buf = appendWireString(buf, pred)
-	buf = binary.AppendVarint(buf, int64(sign))
-	buf, err := appendWireVals(buf, vals)
+	buf, err := encodeWALUpdate(make([]byte, 0, 16+len(origin)+len(pred)+12*len(vals)), origin, pred, sign, vals)
 	if err != nil {
 		n.LastError = fmt.Errorf("core: logging %s update at %s: %w", pred, n.Addr, err)
 		return
@@ -108,28 +134,10 @@ func (n *Node) walSolve(mats []matTable, goal *Tuple) {
 	if n.wal == nil || n.replaying {
 		return
 	}
-	buf := []byte{walRecSolve}
-	buf = binary.AppendUvarint(buf, uint64(len(mats)))
-	var err error
-	for _, mt := range mats {
-		buf = appendWireString(buf, mt.pred)
-		buf = binary.AppendUvarint(buf, uint64(len(mt.tuples)))
-		for _, t := range mt.tuples {
-			if buf, err = appendWireVals(buf, t.Vals); err != nil {
-				n.LastError = fmt.Errorf("core: logging solve at %s: %w", n.Addr, err)
-				return
-			}
-		}
-	}
-	if goal != nil {
-		buf = append(buf, 1)
-		buf = appendWireString(buf, goal.Pred)
-		if buf, err = appendWireVals(buf, goal.Vals); err != nil {
-			n.LastError = fmt.Errorf("core: logging solve goal at %s: %w", n.Addr, err)
-			return
-		}
-	} else {
-		buf = append(buf, 0)
+	buf, err := encodeWALSolve(mats, goal)
+	if err != nil {
+		n.LastError = fmt.Errorf("core: logging solve at %s: %w", n.Addr, err)
+		return
 	}
 	n.walAppend(buf)
 }
@@ -141,197 +149,81 @@ func (n *Node) walInvokeDone() {
 	n.walAppend([]byte{walRecInvokeDone})
 }
 
-func (n *Node) walResync(peer string, tables []resyncMirror, plan []resyncOp) {
+// walResync logs a resync outcome: the rebuilt receive-side mirrors of the
+// named tables and the update plan, together, so a replayed node's mirrors
+// and tables cannot disagree.
+func (n *Node) walResync(peer string, names []string, sets []*mirrorSet, plan []resyncOp) {
 	if n.wal == nil || n.replaying {
 		return
 	}
-	buf := []byte{walRecResync}
-	buf = appendWireString(buf, peer)
-	buf = binary.AppendUvarint(buf, uint64(len(tables)))
-	var err error
-	for _, tb := range tables {
-		buf = appendWireString(buf, tb.name)
-		live := 0
-		for _, e := range tb.entries {
-			if e.count > 0 {
-				live++
-			}
-		}
-		buf = binary.AppendUvarint(buf, uint64(live))
-		for _, e := range tb.entries {
-			if e.count <= 0 {
-				continue
-			}
-			buf = binary.AppendUvarint(buf, uint64(e.count))
-			if buf, err = appendWireVals(buf, e.vals); err != nil {
-				n.LastError = fmt.Errorf("core: logging resync at %s: %w", n.Addr, err)
-				return
-			}
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(plan)))
-	for _, o := range plan {
-		buf = appendWireString(buf, o.pred)
-		buf = binary.AppendVarint(buf, int64(o.sign))
-		buf = binary.AppendUvarint(buf, uint64(o.times))
-		if buf, err = appendWireVals(buf, o.vals); err != nil {
-			n.LastError = fmt.Errorf("core: logging resync at %s: %w", n.Addr, err)
-			return
-		}
+	buf, err := encodeWALResync(peer, names, sets, plan)
+	if err != nil {
+		n.LastError = fmt.Errorf("core: logging resync at %s: %w", n.Addr, err)
+		return
 	}
 	n.walAppend(buf)
 }
 
-// ------------------------------------------------------------ decoding
+// ------------------------------------------------------------ codec
+
+func encodeWALUpdate(buf []byte, origin, pred string, sign int, vals []colog.Value) ([]byte, error) {
+	buf = AppendWireString(append(buf, walRecUpdate), origin)
+	buf = AppendWireString(buf, pred)
+	return AppendWireValues(binary.AppendVarint(buf, int64(sign)), vals)
+}
 
 func decodeWALUpdate(rec []byte) (origin, pred string, sign int, vals []colog.Value, err error) {
-	rest := rec[1:]
-	var ok bool
-	if origin, rest, ok = readWireString(rest); !ok {
-		return "", "", 0, nil, fmt.Errorf("malformed update origin")
+	d := dec{b: rec[1:]}
+	origin = d.str("update origin")
+	pred = d.str("update predicate")
+	sign = int(d.varint("update sign"))
+	vals = d.vals("update values")
+	return origin, pred, sign, vals, d.end()
+}
+
+func encodeWALSolve(mats []matTable, goal *Tuple) ([]byte, error) {
+	buf, err := appendTuples([]byte{walRecSolve}, mats)
+	if err != nil {
+		return nil, err
 	}
-	if pred, rest, ok = readWireString(rest); !ok {
-		return "", "", 0, nil, fmt.Errorf("malformed update predicate")
-	}
-	s, w := binary.Varint(rest)
-	if w <= 0 {
-		return "", "", 0, nil, fmt.Errorf("malformed update sign")
-	}
-	rest = rest[w:]
-	if vals, rest, err = readWireVals(rest); err != nil {
-		return "", "", 0, nil, err
-	}
-	if len(rest) != 0 {
-		return "", "", 0, nil, fmt.Errorf("trailing bytes in update record")
-	}
-	return origin, pred, int(s), vals, nil
+	return appendOptTuple(buf, goal)
 }
 
 func decodeWALSolve(rec []byte) ([]matTable, *Tuple, error) {
-	rest := rec[1:]
-	nTables, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return nil, nil, fmt.Errorf("malformed solve table count")
-	}
-	rest = rest[w:]
-	mats := make([]matTable, 0, nTables)
-	for i := uint64(0); i < nTables; i++ {
-		pred, r, ok := readWireString(rest)
-		if !ok {
-			return nil, nil, fmt.Errorf("malformed solve predicate")
-		}
-		rest = r
-		nTuples, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return nil, nil, fmt.Errorf("malformed solve tuple count")
-		}
-		rest = rest[w:]
-		tuples := make([]Tuple, 0, nTuples)
-		for j := uint64(0); j < nTuples; j++ {
-			vals, r, err := readWireVals(rest)
-			if err != nil {
-				return nil, nil, err
-			}
-			rest = r
-			tuples = append(tuples, Tuple{pred, vals})
-		}
-		mats = append(mats, matTable{pred: pred, tuples: tuples})
-	}
-	if len(rest) == 0 {
-		return nil, nil, fmt.Errorf("malformed solve goal flag")
-	}
-	hasGoal := rest[0] != 0
-	rest = rest[1:]
-	var goal *Tuple
-	if hasGoal {
-		pred, r, ok := readWireString(rest)
-		if !ok {
-			return nil, nil, fmt.Errorf("malformed solve goal predicate")
-		}
-		vals, r2, err := readWireVals(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		rest = r2
-		goal = &Tuple{pred, vals}
-	}
-	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("trailing bytes in solve record")
-	}
-	return mats, goal, nil
+	d := dec{b: rec[1:]}
+	mats := d.tuples()
+	goal := d.optTuple()
+	return mats, goal, d.end()
 }
 
-func decodeWALResync(rec []byte) (peer string, tables []resyncMirror, plan []resyncOp, err error) {
-	rest := rec[1:]
-	var ok bool
-	if peer, rest, ok = readWireString(rest); !ok {
-		return "", nil, nil, fmt.Errorf("malformed resync peer")
+func encodeWALResync(peer string, names []string, sets []*mirrorSet, plan []resyncOp) ([]byte, error) {
+	buf, err := appendMirrors(AppendWireString([]byte{walRecResync}, peer), names, sets)
+	if err != nil {
+		return nil, err
 	}
-	nTables, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return "", nil, nil, fmt.Errorf("malformed resync table count")
+	buf = binary.AppendUvarint(buf, uint64(len(plan)))
+	for _, o := range plan {
+		buf = AppendWireString(buf, o.pred)
+		buf = binary.AppendVarint(buf, int64(o.sign))
+		buf = binary.AppendUvarint(buf, uint64(o.times))
+		if buf, err = AppendWireValues(buf, o.vals); err != nil {
+			return nil, err
+		}
 	}
-	rest = rest[w:]
-	for i := uint64(0); i < nTables; i++ {
-		name, r, ok := readWireString(rest)
-		if !ok {
-			return "", nil, nil, fmt.Errorf("malformed resync table name")
-		}
-		rest = r
-		nEntries, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return "", nil, nil, fmt.Errorf("malformed resync entry count")
-		}
-		rest = rest[w:]
-		m := resyncMirror{name: name}
-		for j := uint64(0); j < nEntries; j++ {
-			count, w := binary.Uvarint(rest)
-			if w <= 0 {
-				return "", nil, nil, fmt.Errorf("malformed resync entry count value")
-			}
-			rest = rest[w:]
-			vals, r, err := readWireVals(rest)
-			if err != nil {
-				return "", nil, nil, err
-			}
-			rest = r
-			key := valsKey(vals)
-			m.entries = append(m.entries, mirrorEntry{key: key, hash: fnvHash(key), vals: vals, count: int(count)})
-		}
-		tables = append(tables, m)
+	return buf, nil
+}
+
+// resyncPlan reads a resync record's update plan.
+func (d *dec) resyncPlan() []resyncOp {
+	plan := make([]resyncOp, d.count("resync op count"))
+	for i := range plan {
+		o := &plan[i]
+		o.pred = d.str("resync op predicate")
+		o.sign = int(d.varint("resync op sign"))
+		o.times = int(d.uvarint("resync op times"))
+		o.vals = d.vals("resync op values")
 	}
-	nOps, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return "", nil, nil, fmt.Errorf("malformed resync op count")
-	}
-	rest = rest[w:]
-	for i := uint64(0); i < nOps; i++ {
-		pred, r, ok := readWireString(rest)
-		if !ok {
-			return "", nil, nil, fmt.Errorf("malformed resync op predicate")
-		}
-		rest = r
-		s, w := binary.Varint(rest)
-		if w <= 0 {
-			return "", nil, nil, fmt.Errorf("malformed resync op sign")
-		}
-		rest = rest[w:]
-		times, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return "", nil, nil, fmt.Errorf("malformed resync op times")
-		}
-		rest = rest[w:]
-		vals, r2, err := readWireVals(rest)
-		if err != nil {
-			return "", nil, nil, err
-		}
-		rest = r2
-		plan = append(plan, resyncOp{pred: pred, vals: vals, sign: int(s), times: int(times)})
-	}
-	if len(rest) != 0 {
-		return "", nil, nil, fmt.Errorf("trailing bytes in resync record")
-	}
-	return peer, tables, plan, nil
+	return plan
 }
 
 // ------------------------------------------------------------ replay
@@ -469,24 +361,22 @@ func (n *Node) replayInvoke() {
 
 // replayResync re-applies a logged resync outcome: install the rebuilt
 // receive-side mirrors, then re-run the update plan (unlogged — the resync
-// record covers it, exactly as it did live).
+// record covers it, exactly as it did live). The whole record is decoded
+// and checked before anything is applied.
 func (n *Node) replayResync(rec []byte) error {
-	peer, tables, plan, err := decodeWALResync(rec)
-	if err != nil {
+	d := dec{b: rec[1:]}
+	peer := d.str("resync peer")
+	names, sets := d.mirrors()
+	plan := d.resyncPlan()
+	if err := d.end(); err != nil {
 		return err
 	}
 	n.mu.Lock()
-	for _, tb := range tables {
-		next := &mirrorSet{index: map[string]int{}}
-		for _, e := range tb.entries {
-			next.entries = append(next.entries, e)
-			next.index[e.key] = len(next.entries) - 1
-			next.live++
-		}
+	for i, name := range names {
 		if n.repl.recv[peer] == nil {
 			n.repl.recv[peer] = map[string]*mirrorSet{}
 		}
-		n.repl.recv[peer][tb.name] = next
+		n.repl.recv[peer][name] = sets[i]
 	}
 	n.mu.Unlock()
 	for _, o := range plan {
