@@ -3,13 +3,26 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-json bench-diff fuzz fuzz-wire fuzz-wal fuzz-log-record fuzz-resync-frame fuzz-churn fuzz-rollup wal-torture bench-smoke-repo lint docs-check recovery-equivalence streaming-equivalence plan-equivalence codec-equivalence serving-soak alloc-budget shard-equivalence shard-smoke sharded-10k figures-smoke ci
+.PHONY: build test bench bench-json bench-diff fuzz fuzz-wire fuzz-wal fuzz-log-record fuzz-resync-frame fuzz-churn fuzz-rollup wal-torture bench-smoke-repo lint docs-check recovery-equivalence streaming-equivalence plan-equivalence codec-equivalence serving-soak alloc-budget shard-equivalence shard-smoke sharded-10k figures-smoke gates-check ci
 
 build:
 	$(GO) build ./...
 
+# The race-enabled tier-1 run. The verbose log goes to test-race.out and is
+# printed only when a test fails; every skipped test is listed with its
+# reason afterwards, and appended to the CI job summary when
+# $$GITHUB_STEP_SUMMARY is set, so a gate that skips on this host is seen.
 test:
-	$(GO) test -race ./...
+	@$(GO) test -race -v ./... > test-race.out 2>&1; status=$$?; \
+	if [ $$status -ne 0 ]; then cat test-race.out; else grep -E '^(ok|\?) ' test-race.out; fi; \
+	awk '/^=== (RUN|CONT|NAME|PAUSE) / { cur = $$3; next } \
+		/^ *--- SKIP: / { skip[++n] = $$3; next } \
+		/^ *--- / { next } \
+		/^    / { sub(/^ +/, ""); why[cur] = why[cur] " " $$0; next } \
+		/^(ok|FAIL)[ \t]/ { for (i = 1; i <= n; i++) out = out "- `" $$2 "." skip[i] "`:" why[skip[i]] "\n"; n = 0 } \
+		END { printf "### Skipped tests\n\n%s", (out == "" ? "none\n" : out) }' test-race.out \
+		| tee -a "$${GITHUB_STEP_SUMMARY:-/dev/null}"; \
+	exit $$status
 
 # Full benchmark grid (paper figures + micro-benches). Use BENCH to focus,
 # e.g. make bench BENCH=BenchmarkEngineInsertFixpoint
@@ -39,47 +52,49 @@ bench-diff:
 	$(GO) run ./cmd/benchjson diff $(DIFF_FLAGS) $(BENCH_OLD) $(BENCH_NEW)
 
 # Short fixed-budget fuzz of the Colog parser (the CI job runs the same
-# target with FUZZTIME=20s).
+# target with FUZZTIME=20s). -fuzzminimizetime=2s caps the minimization of
+# each new interesting input, which otherwise may take up to 60s and leave
+# the fuzzer at 0 execs/s for the rest of a short budget.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/colog
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/colog
 
 # Fixed-budget fuzz of the delta wire codec (single + batch frames; signs
 # outside {-1,+1} must be rejected at decode).
 fuzz-wire:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeDeltas -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeDeltas -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/core
 
 # Fixed-budget fuzz of the write-ahead-log record codec (corpus seeded from
 # real node logs; bad CRCs, lengths, and versions must be rejected without
 # panicking, and whatever decodes must re-encode canonically).
 fuzz-wal:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/store
 
 # Fixed-budget fuzz of the core log-record payload decoders and checkpoint
 # import (corpus seeded from the codec-equivalence scenarios): malformed
 # records and oversized counts must be rejected without panicking, and
 # whatever decodes must re-encode to bytes that decode to the same value.
 fuzz-log-record:
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLogRecord$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLogRecord$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/core
 
 # Fixed-budget fuzz of the resync digest and rows frame decoders (frames
 # arrive from UDP peers; same property as fuzz-log-record).
 fuzz-resync-frame:
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResyncFrame$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResyncFrame$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/core
 
 # Fixed-budget fuzz of the churn-event frame codec (corpus recorded from a
 # real cmd/serve load-driver run; bad versions, ops, and torn frames must be
 # rejected without panicking, and whatever decodes must round-trip
 # losslessly).
 fuzz-churn:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeChurnEvent -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeChurnEvent -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/serve
 
 # Fixed-budget fuzz of the shard rollup-frame codec (corpus captured live
 # from a real 4-shard run; bad magic, versions, torn varints, and trailing
 # bytes must be rejected without panicking, and whatever decodes must
 # round-trip bit-exactly, NaN objectives included).
 fuzz-rollup:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeRollupFrame -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRollupFrame -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/cluster
 
 # The WAL crash-point torture gate: kill a disk-backed node at every log
 # record boundary of a recorded run — torn mid-record writes and a torn
@@ -170,6 +185,31 @@ figures-smoke:
 	$(GO) run ./cmd/wireless >/dev/null
 	$(GO) run ./cmd/wireless -fig7 >/dev/null
 
+# The named-gate check: every -run pattern that ci.yml or this Makefile
+# selects tests with must match a test in each package it names, and each
+# of its |-separated alternatives must match a test in one of them, so a
+# deleted or renamed test cannot leave a gate passing on nothing. The '^$$'
+# pattern of the fuzz and benchmark lines selects no test on purpose.
+gates-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	grep -hE '^[^#]*(go|[$$][(]GO[)]) test .*-run[ =]' Makefile .github/workflows/ci.yml | \
+	sed -E 's/[$$][$$]/$$/g; s/.*-run[ =]//' | tr -d "'" | \
+	while read -r pat rest; do \
+		[ "$$pat" = '^$$' ] && continue; \
+		pkgs=; for w in $$rest; do case $$w in .*) pkgs="$$pkgs $$w";; esac; done; \
+		lists=; \
+		for pkg in $$($(GO) list $$pkgs); do \
+			f="$$tmp/$$(echo $$pkg | tr / _)"; \
+			[ -f "$$f" ] || $(GO) test -list . $$pkg | grep '^Test' > "$$f" || true; \
+			lists="$$lists $$f"; \
+			grep -qE "$$pat" "$$f" || { echo "gates-check: -run '$$pat' matches no test in $$pkg"; exit 1; }; \
+		done; \
+		for alt in $$(echo "$$pat" | tr '|' ' '); do \
+			cat $$lists | grep -qE "$$alt" || { echo "gates-check: '$$alt' of -run '$$pat' matches no test in$$pkgs"; exit 1; }; \
+		done; \
+		echo "gates-check: ok  $$pat$$pkgs"; \
+	done
+
 # Documentation gate: broken relative links and intra-document anchors in
 # README.md/docs/*.md and unformatted example Go files fail the build.
 docs-check:
@@ -180,7 +220,7 @@ docs-check:
 # internal/solver/testdata/engine_trace.golden. The two TestClusterEquivalence
 # lines check each scenario's RunCluster, at several worker counts, against
 # fingerprints recorded from the deleted sequential Run loops.
-ci: lint build test docs-check bench-smoke-repo figures-smoke
+ci: lint build test gates-check docs-check bench-smoke-repo figures-smoke
 	$(GO) test -count=1 -run 'TestEnginesMatchBruteForce|TestEventEngineTraceMatchesLegacy' ./internal/solver
 	$(GO) test -count=1 -run 'TestIncrementalGroundEquivalence' ./internal/core
 	$(GO) test -count=1 -run 'TestStreamingGroundEquivalence' ./internal/core
@@ -195,13 +235,13 @@ ci: lint build test docs-check bench-smoke-repo figures-smoke
 	$(GO) test -race -count=1 -run 'TestServingSoakEquivalence' ./internal/serve
 	$(GO) test -count=1 -run 'TestShard|TestClusterShardEquivalence' ./internal/cluster ./internal/acloud ./internal/followsun ./internal/wireless
 	$(GO) test -count=1 -run 'TestShardMultiProcess' ./internal/wireless
-	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/colog
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeDeltas -fuzztime=20s ./internal/core
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLogRecord$$' -fuzztime=20s ./internal/core
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResyncFrame$$' -fuzztime=20s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeWALRecord -fuzztime=20s ./internal/store
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeChurnEvent -fuzztime=20s ./internal/serve
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeRollupFrame -fuzztime=20s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s -fuzzminimizetime=2s ./internal/colog
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeDeltas -fuzztime=20s -fuzzminimizetime=2s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLogRecord$$' -fuzztime=20s -fuzzminimizetime=2s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResyncFrame$$' -fuzztime=20s -fuzzminimizetime=2s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeWALRecord -fuzztime=20s -fuzzminimizetime=2s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeChurnEvent -fuzztime=20s -fuzzminimizetime=2s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRollupFrame -fuzztime=20s -fuzzminimizetime=2s ./internal/cluster
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 lint:

@@ -36,31 +36,29 @@ import (
 // cliOptions holds every cologne flag; registerFlags wires them onto a
 // FlagSet so tests can exercise the flag surface without running main.
 type cliOptions struct {
-	solve        *bool
-	dump         *string
-	maxTime      *time.Duration
-	maxNodes     *int64
-	restarts     *int
-	fixpoint     *bool
-	incr         *bool
-	warm         *bool
-	report       *bool
-	clusterMode  *string
-	clusterWkrs  *int
-	clusterLat   *time.Duration
-	clusterBat   *bool
-	clusterCkpt  *int
-	clusterRsnc  *bool
-	clusterSched *string
-	storeKind    *string
-	storeDir     *string
-	storeFsync   *bool
-	shardCount   *int
-	shardAgg     *string
-	shardID      *int
-	shardPeers   *string
-	profile      *string
-	params       paramFlags
+	solve       *bool
+	dump        *string
+	maxTime     *time.Duration
+	maxNodes    *int64
+	restarts    *int
+	fixpoint    *bool
+	incr        *bool
+	warm        *bool
+	report      *bool
+	clusterMode *string
+	clusterWkrs *int
+	clusterLat  *time.Duration
+	clusterBat  *bool
+	clusterCkpt *int
+	storeKind   *string
+	storeDir    *string
+	storeFsync  *bool
+	shardCount  *int
+	shardAgg    *string
+	shardID     *int
+	shardPeers  *string
+	profile     *string
+	params      paramFlags
 }
 
 func registerFlags(fs *flag.FlagSet) *cliOptions {
@@ -88,10 +86,6 @@ func registerFlags(fs *flag.FlagSet) *cliOptions {
 			"batch outgoing deltas per (epoch, destination) into single frames:\nfewer messages, identical delivery contents"),
 		clusterCkpt: fs.Int("cluster-checkpoint-every", 0,
 			"checkpoint every live node's full table state (arrival-order seqs\nincluded) after each N-th epoch; a restarted node restores its latest\ncheckpoint instead of reseeding (0 = no periodic checkpoints)"),
-		clusterRsnc: fs.Bool("cluster-resync", true,
-			"run the automatic anti-entropy digest exchange when a node\nrestarts, pulling the rows it missed while down (see docs/recovery.md)"),
-		clusterSched: fs.String("cluster-scheduling", "",
-			"epoch item scheduling policy: 'cost' (default; start\npredicted-expensive items first) or 'fifo' (item order); results are\nidentical either way"),
 		storeKind: fs.String("store", "memory",
 			"per-node storage backend: 'memory' (tables live in process memory)\nor 'disk' (tables still live in memory, and every visible transition\nalso goes through an append-only write-ahead log; a restarted cluster\nnode replays its local log before resyncing — see docs/storage.md)"),
 		storeDir: fs.String("store-dir", "",
@@ -274,11 +268,9 @@ func runCluster(opts *cliOptions, res *analysis.Result, cfg core.Config) error {
 	rt := cluster.New(cluster.Options{
 		Mode:            mode,
 		Workers:         *opts.clusterWkrs,
-		Scheduling:      *opts.clusterSched,
 		Latency:         *opts.clusterLat,
 		BatchDeltas:     *opts.clusterBat,
 		CheckpointEvery: *opts.clusterCkpt,
-		DisableResync:   !*opts.clusterRsnc,
 		Storage:         *opts.storeKind,
 		StorageDir:      *opts.storeDir,
 		StorageFsync:    *opts.storeFsync,
@@ -382,7 +374,6 @@ func runShardProcess(opts *cliOptions, res *analysis.Result, cfg core.Config) er
 	cfg.DeferFacts = true
 	rt, err := cluster.NewMultiProcess(cluster.Options{
 		Workers:        *opts.clusterWkrs,
-		Scheduling:     *opts.clusterSched,
 		BatchDeltas:    *opts.clusterBat,
 		Shards:         cluster.IndexRanges(addrs, len(endpoints)),
 		Aggregation:    agg,

@@ -59,13 +59,14 @@ func TestSolverFlagsDocumented(t *testing.T) {
 }
 
 // TestClusterFlagsDocumented pins the cluster flags the CLI must expose
-// and document in -help (docs/tuning.md and docscheck rely on them).
+// and document in -help (docs/tuning.md and docscheck rely on them), and
+// that the removed -cluster-scheduling and -cluster-resync flags stay gone.
 func TestClusterFlagsDocumented(t *testing.T) {
 	fs := flag.NewFlagSet("cologne", flag.ContinueOnError)
 	registerFlags(fs)
 	for _, name := range []string{
 		"cluster-mode", "cluster-workers", "cluster-latency", "cluster-batch",
-		"cluster-checkpoint-every", "cluster-resync",
+		"cluster-checkpoint-every",
 	} {
 		f := fs.Lookup(name)
 		if f == nil {
@@ -73,6 +74,11 @@ func TestClusterFlagsDocumented(t *testing.T) {
 		}
 		if f.Usage == "" {
 			t.Fatalf("flag -%s has no help text", name)
+		}
+	}
+	for _, name := range []string{"cluster-scheduling", "cluster-resync"} {
+		if fs.Lookup(name) != nil {
+			t.Fatalf("removed flag -%s is registered", name)
 		}
 	}
 }

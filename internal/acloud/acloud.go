@@ -68,15 +68,9 @@ type Params struct {
 
 	SolverMaxNodes int64
 	SolverMaxTime  time.Duration
-	// SolverFixpoint/SolverRestarts tune the search per Config (see
-	// core.Config); zero values keep the default single-pass schedule.
-	SolverFixpoint bool
-	SolverRestarts int
 	// SolverIncremental enables incremental re-grounding with solver-model
-	// patching between ticks; SolverWarmStart seeds each solve from the
-	// previous materialized assignments (see core.Config).
+	// patching between ticks (see core.Config).
 	SolverIncremental bool
-	SolverWarmStart   bool
 
 	Seed  int64
 	Trace dctrace.Params
@@ -308,10 +302,7 @@ func (c *cluster) nodeConfig(entry programs.Entry) core.Config {
 	cfg.SolverMaxNodes = c.p.SolverMaxNodes
 	cfg.SolverMaxTime = c.p.SolverMaxTime
 	cfg.SolverPropagate = true
-	cfg.SolverFixpoint = c.p.SolverFixpoint
-	cfg.SolverRestarts = c.p.SolverRestarts
 	cfg.SolverIncremental = c.p.SolverIncremental
-	cfg.SolverWarmStart = c.p.SolverWarmStart
 	cfg.Keys = map[string][]int{
 		"vmRaw":  {0},
 		"origin": {0},

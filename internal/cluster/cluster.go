@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -64,12 +63,6 @@ type Options struct {
 	// (capped at 8), 1 forces sequential execution. Results in ModeSim are
 	// identical at any setting.
 	Workers int
-	// Scheduling selects the order items are started in within an epoch:
-	// SchedulingCost (the default) runs predicted-expensive items first so
-	// the long poles overlap the cheap tail, SchedulingFIFO keeps slice
-	// order. Pure scheduling — results are identical either way; only the
-	// epoch's wall time changes.
-	Scheduling string
 	// Latency is the simulated one-way link latency (ModeSim only).
 	Latency time.Duration
 	// BatchDeltas holds each item's outgoing deltas for the whole item and
@@ -86,15 +79,6 @@ type Options struct {
 	// pulls only what the cluster decided since — checkpoint + delta resync
 	// instead of full state transfer. See docs/recovery.md.
 	CheckpointEvery int
-	// DisableResync turns off the automatic anti-entropy digest exchange
-	// that RestartNode otherwise runs between the restarted node and every
-	// live peer. With it set, re-convergence is back to being the
-	// protocol's job, as before the recovery subsystem.
-	DisableResync bool
-	// ResyncTimeout bounds how long RestartNode waits for the UDP-mode
-	// resync exchanges to drain (simulated runs settle deterministically
-	// instead). Zero means 3s.
-	ResyncTimeout time.Duration
 	// AfterEpoch, when non-nil, runs after every epoch's statistics are
 	// recorded, outside the epoch critical section — the hook may stop and
 	// restart nodes (failure-injection scripts use it to crash a node
@@ -194,12 +178,6 @@ type Runtime struct {
 	rollupLatest    *ShardSummary
 	rollupFrameHook func(frame []byte) // test hook: observes encoded rollup frames
 
-	// Serving mode (serving.go): continuous-optimization servers attached
-	// to the runtime, ticked in attachment order by ServeRound.
-	serving        map[string]*serve.Server
-	servingOrder   []string
-	servingHistory []TickStats
-
 	// Disk-storage root: opts.StorageDir, or a lazily created temp dir
 	// (ownStoreDir) that Close removes.
 	storeDir    string
@@ -275,14 +253,6 @@ func (r *Runtime) Spawn(spec NodeSpec) (*core.Node, error) {
 	}
 	if r.opts.BatchDeltas {
 		spec.Config.BatchDeltas = true
-	}
-	if r.workerCap() > 1 {
-		// The epoch pool already runs one goroutine per core (capped); a
-		// per-node grounding pool nested inside each item would
-		// oversubscribe the scheduler and slow everything down. Grounding
-		// results are identical at any GroundWorkers setting (merged in
-		// rule order — see core.Config), so force the nested pools serial.
-		spec.Config.GroundWorkers = 1
 	}
 	if err := r.attachStorage(&spec); err != nil {
 		return nil, fmt.Errorf("cluster: storage for %s: %w", spec.Addr, err)

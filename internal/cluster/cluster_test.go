@@ -34,7 +34,12 @@ r1 got(@Y,X,D,V2) <- link(@X,Y), pick(@X,D,V), V2:=V.
 
 func testProgram(t testing.TB) *analysis.Result {
 	t.Helper()
-	prog, err := colog.Parse(testSrc)
+	return analyzeSrc(t, testSrc)
+}
+
+func analyzeSrc(t testing.TB, src string) *analysis.Result {
+	t.Helper()
+	prog, err := colog.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +170,16 @@ func TestClusterSimEpochDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEpochValidation: overlapping, unknown, and stopped nodes are
-// rejected before anything runs, and sends from unlisted nodes surface as
-// errors at the barrier.
+// TestEpochValidation: a duplicate spawn is refused; overlapping, unknown,
+// and stopped nodes are rejected before anything runs, and sends from
+// unlisted nodes surface as errors at the barrier.
 func TestClusterEpochValidation(t *testing.T) {
 	r := buildRing(t, Options{Workers: 2, Latency: time.Millisecond}, 3)
 	noop := func() (*core.SolveResult, error) { return nil, nil }
+
+	if _, err := r.Spawn(ringSpec(testProgram(t), 0, 3)); err == nil {
+		t.Fatal("duplicate node address accepted")
+	}
 
 	if _, err := r.RunEpoch([]Item{
 		{Label: "a", Nodes: []string{"n0"}, Run: noop},

@@ -31,19 +31,6 @@ type Item struct {
 	Run func() (*core.SolveResult, error)
 }
 
-// Scheduling policies for Options.Scheduling.
-const (
-	// SchedulingCost starts items in descending predicted-cost order: an
-	// exponentially weighted average of each label's past wall time, with
-	// never-seen labels first (their cost is unknown, so assume the worst).
-	// Starting the long poles early minimizes the epoch's makespan when
-	// item costs are skewed. This is the default.
-	SchedulingCost = "cost"
-	// SchedulingFIFO dispatches items in slice order, the pre-scheduler
-	// behavior.
-	SchedulingFIFO = "fifo"
-)
-
 // RunEpoch executes one epoch of items on the worker pool and returns its
 // statistics.
 //
@@ -52,7 +39,7 @@ const (
 // replays them into the simulated network in item order. No scheduler event
 // runs during the concurrent phase, so the post-barrier event schedule is
 // exactly what sequential item execution would have produced — regardless
-// of worker count or scheduling policy, which only change when items
+// of worker count or item start order, which only change when items
 // *start*, never how their output is ordered. In ModeUDP items free-run:
 // messages leave as they are produced and deliveries interleave with
 // execution.
@@ -64,10 +51,7 @@ func (r *Runtime) RunEpoch(items []Item) (EpochStats, error) {
 	if r.inEpoch {
 		return EpochStats{}, fmt.Errorf("cluster: RunEpoch is not reentrant")
 	}
-	order, err := r.itemOrder(items)
-	if err != nil {
-		return EpochStats{}, err
-	}
+	order := r.itemOrder(items)
 	aggMode, err := r.aggKind()
 	if err != nil {
 		return EpochStats{}, err
@@ -211,21 +195,16 @@ func (r *Runtime) RunEpoch(items []Item) (EpochStats, error) {
 	return st, firstErr
 }
 
-// itemOrder resolves the scheduling policy into the order items are handed
-// to the worker pool. Results are order-independent (the barrier replays
-// output in item order), so this only shapes the epoch's makespan.
-func (r *Runtime) itemOrder(items []Item) ([]int, error) {
+// itemOrder is the order items are handed to the worker pool: descending
+// predicted cost, an exponentially weighted average of each label's past
+// wall time, with never-seen labels first (their cost is unknown, so assume
+// the worst). Starting the long poles early shortens the epoch's makespan
+// when item costs are skewed. Results are order-independent (the barrier
+// replays output in item order), so this only shapes the makespan.
+func (r *Runtime) itemOrder(items []Item) []int {
 	order := make([]int, len(items))
 	for i := range order {
 		order[i] = i
-	}
-	switch r.opts.Scheduling {
-	case SchedulingFIFO:
-		return order, nil
-	case "", SchedulingCost:
-	default:
-		return nil, fmt.Errorf("cluster: unknown scheduling policy %q (want %q or %q)",
-			r.opts.Scheduling, SchedulingCost, SchedulingFIFO)
 	}
 	cost := make([]float64, len(items))
 	for i, it := range items {
@@ -237,7 +216,7 @@ func (r *Runtime) itemOrder(items []Item) ([]int, error) {
 	}
 	// Stable sort on an identity permutation: equal costs keep item order.
 	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
-	return order, nil
+	return order
 }
 
 // costEWMAAlpha weights the latest observation of a label's wall time; high

@@ -38,12 +38,11 @@ func (r *Runtime) StopNode(addr string) error {
 // With a checkpoint available (Options.CheckpointEvery or CheckpointNow),
 // the instance is restored from it — tables verbatim, arrival-order seq
 // numbers included; otherwise it comes back fresh with only its Seed
-// facts. Unless Options.DisableResync is set, the runtime then runs the
-// anti-entropy exchange against every live peer, pulling the rows the node
-// missed while it was down (and rolling peers back off anything only the
-// failed instance had asserted). The restart is a statistics boundary:
-// pre-failure wire traffic is attributed to the preceding epoch and the
-// node's transport counters restart at zero.
+// facts. The runtime then runs the anti-entropy exchange against every live
+// peer, pulling the rows the node missed while it was down (and rolling
+// peers back off anything only the failed instance had asserted). The
+// restart is a statistics boundary: pre-failure wire traffic is attributed
+// to the preceding epoch and the node's transport counters restart at zero.
 func (r *Runtime) RestartNode(addr string) (*core.Node, error) {
 	m := r.members[addr]
 	if m == nil {
@@ -104,10 +103,8 @@ func (r *Runtime) RestartNode(addr string) (*core.Node, error) {
 	}
 	m.node = n
 	m.down = false
-	if !r.opts.DisableResync {
-		if err := r.resyncNode(addr); err != nil {
-			return n, err
-		}
+	if err := r.resyncNode(addr); err != nil {
+		return n, err
 	}
 	return n, nil
 }

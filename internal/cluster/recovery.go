@@ -36,6 +36,10 @@ func (r *Runtime) checkpointAll() error {
 	return firstErr
 }
 
+// resyncTimeout bounds how long RestartNode waits for the UDP-mode resync
+// exchanges to drain; simulated runs settle deterministically instead.
+const resyncTimeout = 3 * time.Second
+
 // resyncNode runs the anti-entropy exchange for a freshly restarted node:
 // in-flight traffic is drained first (so digests reflect everything already
 // delivered), the node sends a digest of its mirrors to every live peer,
@@ -71,11 +75,7 @@ func (r *Runtime) resyncNode(addr string) error {
 		}
 		return nil
 	}
-	timeout := r.opts.ResyncTimeout
-	if timeout == 0 {
-		timeout = 3 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(resyncTimeout)
 	for {
 		pending := r.resyncPending()
 		if pending == 0 {

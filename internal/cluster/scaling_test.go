@@ -11,8 +11,8 @@ import (
 
 // heavySpec builds node i of an n-node ring whose per-node COP is CPU-bound:
 // `items` decision variables and a node budget that fixes the search effort,
-// so every epoch item costs roughly the same wall time. The scaling and
-// scheduling tests use it to measure the executor, not the solver.
+// so every epoch item costs roughly the same wall time. The scaling tests
+// use it to measure the executor, not the solver.
 func heavySpec(t *testing.T, i, n, items int, maxNodes int64) NodeSpec {
 	t.Helper()
 	spec := ringSpec(testProgram(t), i, n)
@@ -91,40 +91,6 @@ func TestClusterScalingSpeedup(t *testing.T) {
 	con := epochWall(8)
 	if con > seq/2 {
 		t.Fatalf("workers=8 epoch took %v, want <= half of workers=1 epoch (%v)", con, seq)
-	}
-}
-
-// TestClusterSchedulingEquivalence: the cost-aware scheduler only reorders
-// item start times — tables, wire counters, and solver work must be
-// byte-identical to FIFO dispatch, epoch after epoch (the EWMA is warm from
-// the second epoch on). Unknown policies are rejected up front.
-func TestClusterSchedulingEquivalence(t *testing.T) {
-	run := func(policy string) (string, int64) {
-		r := buildRing(t, Options{Workers: 4, Scheduling: policy, Latency: time.Millisecond}, 5)
-		var nodes int64
-		for epoch := 0; epoch < 3; epoch++ {
-			st, err := r.RunEpoch(solveItems(r))
-			if err != nil {
-				t.Fatal(err)
-			}
-			nodes += st.SolverNodes
-			r.Advance(10 * time.Millisecond)
-		}
-		r.Settle()
-		return dump(r), nodes
-	}
-	fifoState, fifoNodes := run(SchedulingFIFO)
-	costState, costNodes := run(SchedulingCost)
-	if fifoState != costState {
-		t.Fatalf("state diverged between fifo and cost scheduling:\n--- fifo\n%s--- cost\n%s", fifoState, costState)
-	}
-	if fifoNodes != costNodes || fifoNodes == 0 {
-		t.Fatalf("solver nodes diverged: fifo=%d cost=%d", fifoNodes, costNodes)
-	}
-
-	r := buildRing(t, Options{Workers: 2, Scheduling: "sorted-by-vibes", Latency: time.Millisecond}, 2)
-	if _, err := r.RunEpoch(solveItems(r)); err == nil {
-		t.Fatal("unknown scheduling policy accepted")
 	}
 }
 

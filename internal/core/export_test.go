@@ -111,8 +111,8 @@ func RecodeLogRecord(rec []byte) ([]byte, error) {
 		}
 		return encodeWALSolve(mats, goal)
 	case walRecInvokeDone:
-		if len(rec) != 1 {
-			return nil, fmt.Errorf("trailing bytes in invoke-done record")
+		if err := decodeWALInvokeDone(rec); err != nil {
+			return nil, err
 		}
 		return rec, nil
 	case walRecResync:

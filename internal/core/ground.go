@@ -58,9 +58,8 @@ type varInstance struct {
 // once per Program, in Compile (literals ordered most-bound-first, body
 // order on ties, joins resolved to index probes; see planBody). A ground
 // binds each plan's joins to this solve's rows (newGroundRun), evaluates it
-// over a slice-backed binding frame with an undo trail, and grounds
-// independent rules within a dependency level on a bounded worker pool
-// with results merged deterministically in rule order. Joins consume
+// over a slice-backed binding frame with an undo trail, and merges the
+// results of a dependency level's rules in rule order. Joins consume
 // tables directly through the persistent arrival-ordered indexes and
 // memoized scans, with compares pushed down into the row source (see
 // stream.go).
@@ -71,9 +70,9 @@ type grounder struct {
 	insts []varInstance
 	genv  map[string]colog.Value // goal bindings after grounding
 
-	// Per-solve cache, written only between parallel phases: the
-	// unshadowed ground-row tails of solver predicates. Variable slot
-	// layouts are the Program's, shared by every solve.
+	// Per-solve cache: the unshadowed ground-row tails of solver
+	// predicates. Variable slot layouts are the Program's, shared by every
+	// solve.
 	groundRowsCache map[string][][]colog.Value
 
 	// recording enables provenance capture for the incremental grounding
@@ -506,11 +505,9 @@ func (g *grounder) domainFor(vd *colog.VarDecl) (solver.Domain, error) {
 
 // deriveSolverRules evaluates solver derivation rules bottom-up in
 // dependency order, building symbolic tuples and definitional constraints.
-// Rules within one dependency level are independent (they only read
-// predicates produced by earlier levels), so they are grounded in parallel
-// across a bounded worker pool; each rule's symbolic tuples and deferred
-// constraints are merged in rule order, making the outcome identical to a
-// serial run.
+// Rules within one dependency level only read predicates produced by
+// earlier levels; each rule's symbolic tuples and deferred constraints are
+// merged in rule order once the whole level is grounded.
 func (g *grounder) deriveSolverRules() error {
 	rules := g.n.prog.res.Program.Rules
 	for _, level := range g.n.prog.levels {
@@ -518,7 +515,6 @@ func (g *grounder) deriveSolverRules() error {
 		if err != nil {
 			return err
 		}
-		// Deterministic merge in rule order.
 		for i, ri := range level {
 			head := rules[ri].Head.Pred
 			if len(runs[i].out) > 0 {
@@ -534,26 +530,16 @@ func (g *grounder) deriveSolverRules() error {
 	return nil
 }
 
-// groundRules grounds independent solver rules, in parallel across a
-// bounded worker pool, and returns their runs in rule order. The runs are
-// bound serially first: binding populates the shared row and index caches
-// the workers then read without synchronization.
+// groundRules grounds independent solver rules one after another and
+// returns their runs in rule order. Every run is bound before the first is
+// grounded, so each reads the rows as they stood before the batch.
 func (g *grounder) groundRules(ris []int) ([]*groundRun, error) {
 	runs := make([]*groundRun, len(ris))
 	for i, ri := range ris {
 		runs[i] = g.newGroundRun(g.n.prog.ground[ri])
 	}
-	errs := make([]error, len(ris))
-	ground := func(i int) { errs[i] = g.runRule(runs[i]) }
-	if workers := g.n.groundWorkers(); workers > 1 && len(ris) > 1 {
-		runLimited(len(ris), workers, ground)
-	} else {
-		for i := range ris {
-			ground(i)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
+	for _, run := range runs {
+		if err := g.runRule(run); err != nil {
 			return nil, err
 		}
 	}
@@ -562,10 +548,9 @@ func (g *grounder) groundRules(ris []int) ([]*groundRun, error) {
 
 // groundRun is the per-rule evaluation state of one grounding: the plan's
 // joins bound to this solve's rows, the binding frame, the head tuples a
-// constraint rule seeds from, the deferred constraint posts (so workers
-// never mutate the model's constraint store), the emitted head tuples, and
-// (in recording mode) the provenance recorder feeding the incremental
-// grounding cache.
+// constraint rule seeds from, the deferred constraint posts (merged in rule
+// order after the batch), the emitted head tuples, and (in recording mode)
+// the provenance recorder feeding the incremental grounding cache.
 type groundRun struct {
 	plan  *groundPlan
 	src   []joinSrc // parallel to plan.steps
@@ -597,7 +582,7 @@ type joinSrc struct {
 // snapshot or index, a solver predicate's symbolic and ground rows, and a
 // constraint rule's head tuples. It attaches a provenance recorder (seeded
 // with the plan's static join-column taints) when the grounder is
-// recording. Runs must be bound serially.
+// recording.
 func (g *grounder) newGroundRun(p *groundPlan) *groundRun {
 	run := &groundRun{plan: p, src: make([]joinSrc, len(p.steps)), frame: newSymFrame(p.slots)}
 	for i := range p.steps {
@@ -1113,8 +1098,8 @@ func (g *grounder) buildAggExpr(fn colog.AggFunc, items []gval, label string, re
 // head tuple and every match of the rule body, the conjunction of the
 // expression literals is posted as a solver constraint (section 5.4).
 // Constraint rules only read the derived symbolic tuples, so they are
-// independent of each other: each rule runs on a worker with its
-// constraints buffered, merged in rule order afterwards.
+// independent of each other: each rule's constraints are buffered and
+// merged in rule order afterwards.
 func (g *grounder) applyConstraintRules() error {
 	runs, err := g.groundRules(g.n.prog.consIdx)
 	if err != nil {

@@ -57,8 +57,7 @@ func projKey(vals []colog.Value, cols []int) string {
 // ensureIndex returns the index over cols, building it on first use. The
 // returned index stays valid until the table drops its indexes (tracked by
 // indexGen); the grounder holds the node lock for a whole solve, so a
-// pointer obtained at plan time can be probed concurrently by grounding
-// workers.
+// pointer obtained when a run is bound stays valid while it grounds.
 func (t *table) ensureIndex(cols []int) *tableIndex {
 	return t.ensureIndexNamed(idxName(cols), cols)
 }

@@ -390,9 +390,9 @@ func (f *symFrame) appendProbeKey(ops []probeOp) ([]byte, bool) {
 
 // solverRuleLevels partitions the solver derivation rules into dependency
 // levels: a rule's level is one past the deepest level producing a
-// predicate its body reads. Rules within a level are independent and can be
-// grounded in parallel; levels run in order. Falls back to one rule per
-// level (fully serial) if the dependency graph does not stabilize.
+// predicate its body reads. Rules within a level are independent; levels
+// run in order. Falls back to one rule per level if the dependency graph
+// does not stabilize.
 func solverRuleLevels(rules []*colog.Rule, order []int) [][]int {
 	producers := map[string][]int{}
 	for _, ri := range order {

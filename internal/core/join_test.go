@@ -224,14 +224,13 @@ d4 d(X,S) <- c(X,V), S==V*2.
 	}
 }
 
-// --------------------------------------------- parallel ground determinism
+// ------------------------------------------------------ ground determinism
 
-// TestParallelGroundingDeterministic proves that grounding with a worker
-// pool yields exactly the serial SolveResult. Run with -race, this also
-// exercises the pool for data races: the ACloud-style program below has
-// four independent derivation rules per level, so workers genuinely
-// overlap.
-func TestParallelGroundingDeterministic(t *testing.T) {
+// TestGroundingDeterministic: grounding the same facts on fresh nodes
+// yields exactly the same SolveResult every time. The ACloud-style program
+// below has four independent derivation rules per level, whose runs are
+// merged in rule order.
+func TestGroundingDeterministic(t *testing.T) {
 	src := `
 goal minimize C in hostStdevCpu(C).
 var assign(Vid,Hid,V) forall toAssign(Vid,Hid).
@@ -243,8 +242,8 @@ c1 assignCount(Vid,V) -> V==1.
 d4 hostMem(Hid,SUM<M>) <- assign(Vid,Hid,V), vm(Vid,Cpu,Mem), M==V*Mem.
 c2 hostMem(Hid,M) -> memCap(Cap), M<=Cap.
 `
-	build := func(workers int) *Node {
-		n := newTestNode(t, src, Config{SolverPropagate: true, GroundWorkers: workers})
+	build := func() *Node {
+		n := newTestNode(t, src, Config{SolverPropagate: true})
 		for h := 0; h < 3; h++ {
 			n.Insert("host", sval(fmt.Sprintf("h%d", h)))
 		}
@@ -254,22 +253,20 @@ c2 hostMem(Hid,M) -> memCap(Cap), M<=Cap.
 		}
 		return n
 	}
-	serial := build(1)
-	want, err := serial.Solve(SolveOptions{})
+	want, err := build().Solve(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !want.Feasible() {
-		t.Fatalf("serial solve infeasible: %+v", want)
+		t.Fatalf("solve infeasible: %+v", want)
 	}
 	for round := 0; round < 3; round++ {
-		par := build(8)
-		got, err := par.Solve(SolveOptions{})
+		got, err := build().Solve(SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Status != want.Status || math.Abs(got.Objective-want.Objective) > 0 {
-			t.Fatalf("round %d: parallel result %v/%v, serial %v/%v",
+			t.Fatalf("round %d: result %v/%v, first %v/%v",
 				round, got.Status, got.Objective, want.Status, want.Objective)
 		}
 		if !reflect.DeepEqual(got.Assignments, want.Assignments) {
@@ -279,40 +276,6 @@ c2 hostMem(Hid,M) -> memCap(Cap), M<=Cap.
 			t.Fatalf("round %d: model shape %d/%d vs %d/%d",
 				round, got.NumVars, got.NumCons, want.NumVars, want.NumCons)
 		}
-	}
-}
-
-// TestParallelGroundingMatchesSerialOnScenarios replays the corpus-style
-// load-balance program at both worker settings.
-func TestParallelGroundingMatchesSerialOnScenarios(t *testing.T) {
-	src := `
-goal minimize C in imbalance(C).
-var assign(V,H,A) forall toAssign(V,H).
-r1 toAssign(V,H) <- vm(V,C), host(H).
-d1 hostLoad(H,SUM<X>) <- assign(V,H,A), vm(V,C), X==A*C.
-d2 placed(V,SUM<A>) <- assign(V,H,A).
-c1 placed(V,A) -> A==1.
-d3 imbalance(STDEV<X>) <- hostLoad(H,X).
-`
-	results := map[int]*SolveResult{}
-	for _, workers := range []int{1, 4} {
-		n := newTestNode(t, src, Config{SolverPropagate: true, GroundWorkers: workers})
-		for i, c := range []int64{40, 10, 30, 20} {
-			n.Insert("vm", ival(int64(i+1)), ival(c))
-		}
-		n.Insert("host", ival(1))
-		n.Insert("host", ival(2))
-		res, err := n.Solve(SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[workers] = res
-	}
-	if results[1].Objective != results[4].Objective || results[1].Objective != 0 {
-		t.Fatalf("objectives: serial %v parallel %v, want 0", results[1].Objective, results[4].Objective)
-	}
-	if !reflect.DeepEqual(results[1].Assignments, results[4].Assignments) {
-		t.Fatalf("assignments diverge:\n serial %v\n parallel %v", results[1].Assignments, results[4].Assignments)
 	}
 }
 
@@ -463,10 +426,9 @@ func TestStdevRetractionPrecision(t *testing.T) {
 	}
 }
 
-// TestParallelGroundingPanicPropagates: a model-construction panic inside a
-// grounding worker must re-raise on the calling goroutine, where callers
-// can recover — identical to the serial path.
-func TestParallelGroundingPanicPropagates(t *testing.T) {
+// TestGroundingPanicPropagates: a model-construction panic during
+// grounding reaches the caller of Solve, where it can be recovered.
+func TestGroundingPanicPropagates(t *testing.T) {
 	src := `
 goal minimize C in obj(C).
 var pick(V,X) forall cand(V).
@@ -475,16 +437,12 @@ d1 a(V,S) <- pick(V,X), S==(X==1)+2.
 d2 b(V,S) <- pick(V,X), S==X+1.
 d3 obj(SUM<S>) <- a(V,S).
 `
-	for _, workers := range []int{1, 4} {
-		n := newTestNode(t, src, Config{GroundWorkers: workers})
-		n.Insert("vm", sval("v1"))
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("workers=%d: expected model type-mismatch panic to reach the caller", workers)
-				}
-			}()
-			n.Solve(SolveOptions{})
-		}()
-	}
+	n := newTestNode(t, src, Config{})
+	n.Insert("vm", sval("v1"))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected model type-mismatch panic to reach the caller")
+		}
+	}()
+	n.Solve(SolveOptions{})
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -43,11 +42,6 @@ type Config struct {
 	// with geometrically growing node limits; saved phases feed the
 	// warm-start hints of later runs.
 	SolverRestarts int
-	// GroundWorkers bounds the worker pool grounding independent solver
-	// rules in parallel: 0 picks a default from GOMAXPROCS, 1 (or any
-	// negative value) forces serial grounding. Results are merged in rule
-	// order, so the outcome is identical at any setting.
-	GroundWorkers int
 	// SolverIncremental enables incremental re-grounding: the node keeps the
 	// grounded solver model between solves and, on the next solve, re-grounds
 	// only the rule instantiations affected by the tuples that changed,
@@ -205,61 +199,6 @@ func (n *Node) LogStats() (records, bytes int64) {
 		return 0, 0
 	}
 	return n.wal.Stats()
-}
-
-// groundWorkers resolves the grounding worker-pool size.
-func (n *Node) groundWorkers() int {
-	w := n.cfg.GroundWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > 8 {
-			w = 8
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// runLimited runs fn(0..n-1) on at most workers goroutines and waits for
-// completion. A panic inside fn is captured and re-raised on the calling
-// goroutine (lowest index wins), so callers can recover from parallel
-// grounding exactly as they would from a serial run.
-func runLimited(n, workers int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	panics := make([]any, n)
-	run := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				panics[i] = r
-			}
-		}()
-		fn(i)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				run(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
 }
 
 // Program returns the analyzed program the node executes.

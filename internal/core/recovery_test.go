@@ -214,8 +214,10 @@ func TestCheckpointRejectsMalformed(t *testing.T) {
 
 // TestLogRecordRejectsMalformed: a CRC-valid log record that does not
 // decode fails the replay with an error, never a panic — every strict
-// prefix of a real record, and counts of 2^62 that would size allocations
-// far beyond the record.
+// prefix of a real record, a trailer on every record type (an invoke-done
+// marker at top level and inside an invoke bracket included), and counts of
+// 2^62 that would size allocations far beyond the record. Corruption found
+// inside an invoke bracket lands on the replayed node's LastError.
 func TestLogRecordRejectsMalformed(t *testing.T) {
 	res := recoveryProgram(t)
 	p, err := Compile(res, recoveryConfig().Keys, nil)
@@ -235,8 +237,11 @@ func TestLogRecordRejectsMalformed(t *testing.T) {
 		}
 		cfg := recoveryConfig()
 		cfg.Storage = st
-		_, err = p.ReplayNode("a", cfg, nil)
-		return err
+		n, err := p.ReplayNode("a", cfg, nil)
+		if err != nil {
+			return err
+		}
+		return n.LastError
 	}
 
 	// A real log: updates and a solve record.
@@ -255,12 +260,23 @@ func TestLogRecordRejectsMalformed(t *testing.T) {
 	if _, err := n.Solve(SolveOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	// An event-fired solve: update, solve, invoke-done, the bracket last.
+	if err := n.Insert(InvokeSolverPred); err != nil || n.LastError != nil {
+		t.Fatalf("invoke: %v, %v", err, n.LastError)
+	}
 	recs, err := st.Log().ReadRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := replay(recs...); err != nil {
 		t.Fatalf("the intact log does not replay: %v", err)
+	}
+	if last := recs[len(recs)-1]; len(last) != 1 || last[0] != walRecInvokeDone {
+		t.Fatalf("log does not end in an invoke bracket: last record %x", last)
+	}
+	bracketTrailer := append(append([][]byte(nil), recs[:len(recs)-1]...), []byte{walRecInvokeDone, 0xaa, 0xbb})
+	if err := replay(bracketTrailer...); err == nil {
+		t.Fatal("invoke-done record with a trailer inside an invoke bracket replayed")
 	}
 
 	huge := binary.AppendUvarint(nil, 1<<62)
@@ -274,6 +290,7 @@ func TestLogRecordRejectsMalformed(t *testing.T) {
 		bytes.Join([][]byte{{walRecResync}, str("b"), {1}, str("got"), huge}, nil), // resync entry count
 		bytes.Join([][]byte{{walRecResync}, str("b"), {0}, huge}, nil),             // resync op count
 		bytes.Join([][]byte{{walRecUpdate}, str(""), str("need"), {2}, huge}, nil), // value count
+		{walRecInvokeDone, 0xaa, 0xbb},                                             // invoke-done trailer
 	}
 	for _, rec := range recs {
 		bad = append(bad, append(append([]byte(nil), rec...), 0))

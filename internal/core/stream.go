@@ -5,8 +5,7 @@ package core
 // A join over a ground predicate consumes the table directly: either the
 // persistent arrival-ordered tableIndex (shared with the delta pipeline,
 // pre-sized from the table count) or the memoized snapshotStable scan, both
-// captured in the run's joinSrc while runs are bound serially — so grounding
-// workers then read them without synchronization. Rows flow through a
+// captured in the run's joinSrc when the run is bound. Rows flow through a
 // pushdown prefilter (rowCmp) evaluated on the raw []colog.Value before any
 // binding-frame extension, and only surviving rows are matched op-by-op
 // (matchGroundRow), binding cells by value into the frame — no symTuple is

@@ -181,6 +181,13 @@ func decodeWALUpdate(rec []byte) (origin, pred string, sign int, vals []colog.Va
 	return origin, pred, sign, vals, d.end()
 }
 
+// decodeWALInvokeDone checks that an invoke-done marker is the bare type
+// byte.
+func decodeWALInvokeDone(rec []byte) error {
+	d := dec{b: rec[1:]}
+	return d.end()
+}
+
 func encodeWALSolve(mats []matTable, goal *Tuple) ([]byte, error) {
 	buf, err := appendTuples([]byte{walRecSolve}, mats)
 	if err != nil {
@@ -307,7 +314,11 @@ func (n *Node) replayLog(recs [][]byte) error {
 			}
 		case walRecInvokeDone:
 			// An unconsumed invoke-done marker: its solve record was applied
-			// at top level or the bracket start was compacted away. Harmless.
+			// at top level or the bracket start was compacted away. Harmless,
+			// as long as it is the bare type byte.
+			if err := decodeWALInvokeDone(rec); err != nil {
+				return err
+			}
 		default:
 			return fmt.Errorf("unknown log record type %d", rec[0])
 		}
@@ -334,6 +345,9 @@ func (n *Node) replayInvoke() {
 		switch rec[0] {
 		case walRecInvokeDone:
 			n.replayPos++
+			if err := decodeWALInvokeDone(rec); err != nil {
+				n.LastError = fmt.Errorf("core: replay at %s: %w", n.Addr, err)
+			}
 			return
 		case walRecSolve:
 			n.replayPos++

@@ -39,15 +39,9 @@ type Params struct {
 	MaxMigrates    int64 // per-link migration cap (policy d11/c3); 0 = uncapped
 	SolverMaxNodes int64
 	SolverMaxTime  time.Duration
-	// SolverFixpoint/SolverRestarts tune the search per Config (see
-	// core.Config); zero values keep the default single-pass schedule.
-	SolverFixpoint bool
-	SolverRestarts int
 	// SolverIncremental enables incremental re-grounding with solver-model
-	// patching between ticks; SolverWarmStart seeds each solve from the
-	// previous materialized assignments (see core.Config).
+	// patching between ticks (see core.Config).
 	SolverIncremental bool
-	SolverWarmStart   bool
 
 	// SparseDemands restricts each data center's demand universe to itself
 	// (dc rows) and its hosting/cost tables to itself plus its direct
@@ -236,10 +230,7 @@ func (r *runner) setup() error {
 		cfg.SolverMaxNodes = r.p.SolverMaxNodes
 		cfg.SolverMaxTime = r.p.SolverMaxTime
 		cfg.SolverPropagate = true
-		cfg.SolverFixpoint = r.p.SolverFixpoint
-		cfg.SolverRestarts = r.p.SolverRestarts
 		cfg.SolverIncremental = p.SolverIncremental
-		cfg.SolverWarmStart = p.SolverWarmStart
 		return cfg
 	}
 	specs := make([]cluster.NodeSpec, len(r.names))

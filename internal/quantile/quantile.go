@@ -1,9 +1,9 @@
 // Package quantile holds the one shared percentile definition every
 // latency-reporting surface uses: nearest-rank over an ascending sort,
-// idx = ceil(p*n)-1 computed as int(p*n)-1 clamped to [0, n-1]. The cluster
-// serving rounds (TickStats), the serve runtime's per-tick Stats, and the
-// load drivers (cmd/serve, cmd/loadgen) all read their p50/p99 through it,
-// so a reported percentile means the same thing everywhere.
+// idx = ceil(p*n)-1 computed as int(p*n)-1 clamped to [0, n-1]. The serve
+// runtime's per-tick Stats and the load drivers (cmd/serve, cmd/loadgen)
+// all read their p50/p99 through it, so a reported percentile means the
+// same thing everywhere.
 package quantile
 
 import (

@@ -1,9 +1,6 @@
 package solver
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Var is an integer decision variable with a finite domain. The constraint
 // solver assigns it a value from its domain; in Cologne these are the solver
@@ -20,16 +17,13 @@ func (v *Var) String() string { return fmt.Sprintf("%s%s", v.Name, v.Dom) }
 
 // Model holds decision variables, posted constraints, and an optional
 // objective. A Model is built once per COP invocation and solved by Solve.
-// Variable creation, Require, and objective installation are not safe for
-// concurrent use; expression construction is — node IDs are allocated
-// atomically so parallel grounding workers can build expression trees
-// against a shared model while deferring constraint posts.
+// It is not safe for concurrent use.
 type Model struct {
 	vars        []*Var
 	constraints []*Expr
 	objective   *Expr
 	sense       Sense
-	nodes       atomic.Int64 // next expression ID
+	nodes       int // next expression ID
 
 	// rev counts structural mutations (constraint posts or replacements,
 	// variable and objective changes); prepared metadata built at an older
@@ -56,7 +50,7 @@ func (m *Model) NumVars() int { return len(m.vars) }
 func (m *Model) NumConstraints() int { return len(m.constraints) }
 
 // NumExprNodes returns the number of expression DAG nodes created so far.
-func (m *Model) NumExprNodes() int { return int(m.nodes.Load()) }
+func (m *Model) NumExprNodes() int { return m.nodes }
 
 // Vars returns the model's variables in creation order. The slice must not
 // be mutated.
@@ -91,7 +85,8 @@ func (m *Model) VarWithDomain(name string, dom Domain) *Var {
 }
 
 func (m *Model) newExpr(op Op, k float64, v *Var, args ...*Expr) *Expr {
-	id := int(m.nodes.Add(1)) - 1
+	id := m.nodes
+	m.nodes++
 	return &Expr{ID: id, Op: op, K: k, Var: v, Args: args, model: m}
 }
 

@@ -67,15 +67,9 @@ type Params struct {
 	NegotiationInterval time.Duration // distributed per-round virtual time
 	SolverMaxNodes      int64
 	SolverMaxTime       time.Duration
-	// SolverFixpoint/SolverRestarts tune the search per Config (see
-	// core.Config); zero values keep the default single-pass schedule.
-	SolverFixpoint bool
-	SolverRestarts int
 	// SolverIncremental enables incremental re-grounding with solver-model
-	// patching between ticks; SolverWarmStart seeds each solve from the
-	// previous materialized assignments (see core.Config).
+	// patching between ticks (see core.Config).
 	SolverIncremental bool
-	SolverWarmStart   bool
 	Passes            int // distributed refinement passes
 	// WaveLimit caps the negotiation waves per pass in RunClusterWaves
 	// (0 = all waves). The 10k-node scale gates use it to run a full
@@ -250,10 +244,7 @@ func centralizedAssignment(t *Topology, p Params, res *Result) (Assignment, erro
 	cfg := entry.Config
 	cfg.SolverMaxNodes = p.SolverMaxNodes
 	cfg.SolverMaxTime = p.SolverMaxTime
-	cfg.SolverFixpoint = p.SolverFixpoint
-	cfg.SolverRestarts = p.SolverRestarts
 	cfg.SolverIncremental = p.SolverIncremental
-	cfg.SolverWarmStart = p.SolverWarmStart
 	node, err := core.NewNode("manager", entry.Analyze(), cfg, nil)
 	if err != nil {
 		return nil, err
@@ -310,10 +301,7 @@ func distributedConfig(p Params, entry programs.Entry) core.Config {
 	cfg := entry.Config
 	cfg.SolverMaxNodes = p.SolverMaxNodes
 	cfg.SolverMaxTime = p.SolverMaxTime
-	cfg.SolverFixpoint = p.SolverFixpoint
-	cfg.SolverRestarts = p.SolverRestarts
 	cfg.SolverIncremental = p.SolverIncremental
-	cfg.SolverWarmStart = p.SolverWarmStart
 	return cfg
 }
 
