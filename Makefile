@@ -149,11 +149,13 @@ serving-soak:
 
 # The allocation-regression gates: streaming grounding's B/op on the
 # join-heavy BenchmarkGroundPeakAlloc workload must stay under the budget in
-# ground_alloc_budget.txt, and spawning the 40-center Follow-the-Sun ring
-# (BenchmarkSpawnRing) under spawn_alloc_budget.txt. Run without -race (the
-# tests skip themselves under it).
+# ground_alloc_budget.txt, spawning the 40-center Follow-the-Sun ring
+# (BenchmarkSpawnRing) under spawn_alloc_budget.txt, and 3000 more search
+# nodes on the ACloud COP may allocate only for their extra incumbents
+# (TestSearchAllocBudget). Run without -race (the tests skip themselves
+# under it).
 alloc-budget:
-	$(GO) test -count=1 -run 'TestGroundAllocBudget|TestSpawnAllocBudget' .
+	$(GO) test -count=1 -run 'TestGroundAllocBudget|TestSpawnAllocBudget|TestSearchAllocBudget' . ./internal/core
 
 # The shard-equivalence gate: partitioning any scenario into key-range
 # shards with rollup aggregation must keep results byte-identical to the
@@ -226,7 +228,7 @@ ci: lint build test gates-check docs-check bench-smoke-repo figures-smoke
 	$(GO) test -count=1 -run 'TestStreamingGroundEquivalence' ./internal/core
 	$(GO) test -count=1 -run 'TestPlansMatchRecorded' ./internal/core
 	$(GO) test -count=1 -run 'TestCodecMatchesRecorded' ./internal/core
-	$(GO) test -count=1 -run 'TestGroundAllocBudget|TestSpawnAllocBudget' .
+	$(GO) test -count=1 -run 'TestGroundAllocBudget|TestSpawnAllocBudget|TestSearchAllocBudget' . ./internal/core
 	$(GO) test -count=1 -run 'TestClusterEquivalence' ./internal/acloud ./internal/followsun ./internal/wireless
 	$(GO) test -race -count=1 -run TestClusterEquivalence ./internal/followsun ./internal/wireless
 	$(GO) test -race -run TestCluster ./internal/cluster/...

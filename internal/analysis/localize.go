@@ -133,14 +133,17 @@ func localizeRule(res *Result, r *colog.Rule) ([]*colog.Rule, error) {
 			}
 		}
 		// Shipped attributes: group-bound vars needed elsewhere (head, other
-		// groups, expressions), location var first.
+		// groups, expressions), location var first. An aggregate head
+		// counts every body binding, so there every group-bound var ships:
+		// bindings that differ only in a var read nowhere else must stay
+		// distinct tuples, or the aggregate sees one where there were many.
 		needed := []string{headLoc}
 		seen := map[string]bool{headLoc: true}
 		appendNeeded := func(v string) {
 			if seen[v] || !groupBound[v] {
 				return
 			}
-			used := headVars[v] || exprVars[v]
+			used := headVars[v] || exprVars[v] || r.Head.HasAggregate()
 			if !used {
 				for oloc, set := range varsUsedBy {
 					if oloc != loc && set[v] {

@@ -160,9 +160,44 @@ func TestClusterHoldOutboxBatchesPerDestination(t *testing.T) {
 // identical results — the paper's claim that the localization rewrite
 // realizes the original rule semantics.
 func TestClusterDistributedEqualsCentralized(t *testing.T) {
+	distributedEqualsCentralized(t, 17, false)
+}
+
+// TestClusterDistributedEqualsCentralizedRetractions runs the same seeded
+// trials, then in a second epoch retracts about a third of each trial's
+// facts, inserts fresh stores and compares again. The churn produces remote
+// bindings that differ only in the sender's location, which the aggregate
+// must count separately.
+func TestClusterDistributedEqualsCentralizedRetractions(t *testing.T) {
+	distributedEqualsCentralized(t, 17, true)
+}
+
+// TestClusterLocalizedAggregateKeepsMultiplicity is the smallest case of
+// the above: two senders ship bindings that differ only in their own
+// location, and the SUM at the receiver must count both, as one
+// centralized node does.
+func TestClusterLocalizedAggregateKeepsMultiplicity(t *testing.T) {
+	r := New(Options{Workers: 2, Latency: time.Millisecond})
+	defer r.Close()
+	spawnPlain(t, r, analyzeSrc(t, distSrc), "a", "b", "c")
+	applyEpoch(t, r, map[string][]fact{
+		"a": {{pred: "link", vals: []colog.Value{sval("a"), sval("b")}}, {pred: "store", vals: []colog.Value{sval("a"), sval("d1"), ival(2)}}},
+		"b": {{pred: "want", vals: []colog.Value{sval("b"), sval("d1")}}},
+		"c": {{pred: "link", vals: []colog.Value{sval("c"), sval("b")}}, {pred: "store", vals: []colog.Value{sval("c"), sval("d1"), ival(2)}}},
+	})
+	if got := r.Node("b").Rows("out"); len(got) != 1 || !r.Node("b").Contains("out", sval("b"), sval("d1"), ival(4)) {
+		t.Fatalf("out at b = %v, want [[b d1 4]]", got)
+	}
+}
+
+// distributedEqualsCentralized feeds 40 seeded trials of identical facts to
+// a simulated 3-node runtime and to a single centralized engine and
+// requires identical out rows; with retract, it then deletes a random
+// subset of the facts from both, inserts fresh stores and compares again.
+func distributedEqualsCentralized(t *testing.T, seed int64, retract bool) {
 	distRes := analyzeSrc(t, distSrc)
 	centRes := analyzeSrc(t, centSrc)
-	rng := rand.New(rand.NewSource(17))
+	rng := rand.New(rand.NewSource(seed))
 	addrs := []string{"a", "b", "c"}
 	demands := []string{"d1", "d2"}
 
@@ -175,55 +210,79 @@ func TestClusterDistributedEqualsCentralized(t *testing.T) {
 		}
 		// Every fact's location column is its first, so at names the node.
 		byNode := map[string][]fact{}
-		apply := func(at string, pred string, vals ...colog.Value) {
+		var applied []fact
+		apply := func(at string, f fact) {
 			t.Helper()
-			f := fact{pred: pred, vals: vals}
 			if err := f.apply(cent); err != nil {
 				t.Fatal(err)
 			}
 			byNode[at] = append(byNode[at], f)
+			if !f.del {
+				applied = append(applied, f)
+			}
 		}
 		for _, from := range addrs {
 			for _, to := range addrs {
 				if from != to && rng.Intn(2) == 0 {
-					apply(from, "link", sval(from), sval(to))
+					apply(from, fact{pred: "link", vals: []colog.Value{sval(from), sval(to)}})
 				}
 			}
 		}
-		for i := 0; i < 2+rng.Intn(6); i++ {
-			at := addrs[rng.Intn(len(addrs))]
-			apply(at, "store", sval(at), sval(demands[rng.Intn(len(demands))]), ival(int64(rng.Intn(9))))
+		stores := func() {
+			for i := 0; i < 2+rng.Intn(6); i++ {
+				at := addrs[rng.Intn(len(addrs))]
+				apply(at, fact{pred: "store", vals: []colog.Value{sval(at), sval(demands[rng.Intn(len(demands))]), ival(int64(rng.Intn(9)))}})
+			}
 		}
+		stores()
 		for _, a := range addrs {
 			if rng.Intn(2) == 0 {
-				apply(a, "want", sval(a), sval(demands[rng.Intn(len(demands))]))
+				apply(a, fact{pred: "want", vals: []colog.Value{sval(a), sval(demands[rng.Intn(len(demands))])}})
 			}
 		}
 		applyEpoch(t, r, byNode)
-
-		want := map[string]bool{}
-		for _, row := range cent.Rows("out") {
-			want[fmt.Sprint(row)] = true
-		}
-		got := map[string]bool{}
-		for _, addr := range addrs {
-			for _, row := range r.Node(addr).Rows("out") {
-				if row[0].S != addr {
-					t.Fatalf("trial %d: out row %v landed on wrong node %s", trial, row, addr)
+		compareOut(t, fmt.Sprintf("trial %d", trial), r, cent, addrs)
+		if retract {
+			byNode = map[string][]fact{}
+			for _, f := range applied {
+				if rng.Intn(3) == 0 {
+					f.del = true
+					apply(f.vals[0].S, f)
 				}
-				got[fmt.Sprint(row)] = true
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: distributed %d rows vs centralized %d\ncentral:\n%s",
-				trial, len(got), len(want), cent.Dump())
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("trial %d: centralized row %s missing from distributed run", trial, k)
-			}
+			stores()
+			applyEpoch(t, r, byNode)
+			compareOut(t, fmt.Sprintf("trial %d after retractions", trial), r, cent, addrs)
 		}
 		r.Close()
+	}
+}
+
+// compareOut requires the runtime's out rows, each on the node its location
+// column names, to equal the centralized node's.
+func compareOut(t *testing.T, label string, r *Runtime, cent *core.Node, addrs []string) {
+	t.Helper()
+	want := map[string]bool{}
+	for _, row := range cent.Rows("out") {
+		want[fmt.Sprint(row)] = true
+	}
+	got := map[string]bool{}
+	for _, addr := range addrs {
+		for _, row := range r.Node(addr).Rows("out") {
+			if row[0].S != addr {
+				t.Fatalf("%s: out row %v landed on wrong node %s", label, row, addr)
+			}
+			got[fmt.Sprint(row)] = true
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: distributed %d rows vs centralized %d\ncentral:\n%s",
+			label, len(got), len(want), cent.Dump())
+	}
+	for k := range want {
+		if !got[k] {
+			t.Fatalf("%s: centralized row %s missing from distributed run", label, k)
+		}
 	}
 }
 

@@ -6,10 +6,23 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/solver"
 )
 
 // CompileCount reports how many times Compile has run in this process.
 func CompileCount() int64 { return compiles.Load() }
+
+// GroundedModel returns the solver model cached by incremental grounding
+// (Config.SolverIncremental), nil before the first solve.
+func GroundedModel(n *Node) *solver.Model {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.ground == nil {
+		return nil
+	}
+	return n.ground.model
+}
 
 // GroundedModelText renders the solver model cached by incremental
 // grounding (Config.SolverIncremental): its constraints in posting order,

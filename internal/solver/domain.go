@@ -73,6 +73,19 @@ func (d Domain) singletonView(v int64) Domain {
 	return NewDomain(v)
 }
 
+// within returns the values of d in [lo, hi] as a view into d's backing
+// array — no allocation: bounds narrowing keeps a contiguous run.
+func (d Domain) within(lo, hi int64) Domain {
+	i, j := 0, len(d.vals)
+	for i < j && d.vals[i] < lo {
+		i++
+	}
+	for j > i && d.vals[j-1] > hi {
+		j--
+	}
+	return Domain{vals: d.vals[i:j]}
+}
+
 // domainFromSorted wraps an ascending, duplicate-free slice the caller owns,
 // skipping NewDomain's copy and sort. Propagators build their kept-value
 // lists in ascending order, so this is their narrowing constructor.

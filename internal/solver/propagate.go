@@ -8,8 +8,10 @@ package solver
 //     times; a domain change marks the variable's DAG node dirty, and a
 //     min-heap ordered by node ID (a topological order, since arguments are
 //     always created before their parents) recomputes exactly the nodes
-//     whose support changed. Overwritten intervals go on a trail, so
-//     backtracking restores them in O(changed) without recomputation.
+//     whose support changed. An integer n-ary sum takes a changed argument
+//     by delta — old interval out, new one in — instead of re-adding all of
+//     them. Overwritten intervals go on a trail, so backtracking restores
+//     them in O(changed) without recomputation.
 //   - dedicated incremental linear propagators: each recognized
 //     sum(c_i*x_i) op K constraint caches per-term contribution bounds and
 //     their running totals; a domain event updates the residuals in O(1)
@@ -25,14 +27,39 @@ package solver
 // checking). The resulting search traces — solutions, objectives, node and
 // failure counts, even under node budgets — are pinned to
 // testdata/engine_trace.golden, recorded from the seed forward-checking
-// core this engine replaced, and brute force (bruteforce.go) remains the
+// core this engine replaced, and to the grounded paper COPs of
+// core/testdata/cop_trace.golden; brute force (bruteforce.go) remains the
 // live oracle for status and optimum. Options.Fixpoint and
 // Options.ActivityOrder opt into strictly stronger pruning and
 // conflict-driven variable ordering, and so leave that trace.
 //
-// Cached residual bounds are maintained by adding and subtracting per-term
-// deltas. On the integer-valued data Cologne grounds this is exact; models
-// with irrational coefficients may see ulp-level rounding in the sums.
+// Four mechanisms make a node cheaper without changing any decision:
+//
+//   - Root-entailment disposal. A constraint whose interval is already true
+//     before the search is out of the solve: its linear propagator gets no
+//     events, forward checking skips it, and DAG nodes that only such
+//     constraints read are never recomputed (ivStore.dispose). Interval
+//     evaluation is inclusion-monotone and domains only shrink, so it stays
+//     true in every search state; restarts start from the same root.
+//   - The slack test. A linear term can be tightened only when the slack on
+//     a checked side is below the term's contribution span, and a span only
+//     shrinks below the root. While every checked slack is at least the
+//     widest root span, propagateOne returns after its failure tests.
+//   - Delta sums. An OpSum over integer-valued arguments whose root bounds
+//     add up, in magnitude, to less than 2^50 keeps every partial sum an
+//     exact integer, so old-out/new-in equals a fresh left-to-right sum bit
+//     for bit. Any other sum, or a delta involving a non-finite value, is
+//     recomputed in full.
+//   - View narrowing. Domains are sorted and immutable, so a bounds
+//     narrowing is a subslice view of the current domain; forward checking
+//     collects kept values in a reusable buffer and copies only a kept set
+//     with gaps. Apart from first-use caches, a search node allocates
+//     nothing (core's TestSearchAllocBudget).
+//
+// Linear residual bounds are maintained by adding and subtracting per-term
+// deltas, and the slack test compares them to root spans. On the
+// integer-valued data Cologne grounds both are exact; models with
+// irrational coefficients may see ulp-level rounding in the sums.
 
 import (
 	"math"
@@ -77,6 +104,12 @@ type prepared struct {
 
 	lin      []linShape
 	linByVar [][]linRef
+
+	// intVal marks the nodes whose interval bounds are integers under any
+	// domains (integer constants, variables, and the integer-closed
+	// operators over them): an OpSum over such arguments can be updated by
+	// delta exactly (see ivStore.touch).
+	intVal []bool
 
 	shapes map[string]int // shape name -> constraint count
 }
@@ -162,6 +195,12 @@ func (m *Model) prepareWith(minTerms int) *prepared {
 	if m.objective != nil {
 		walk(m.objective)
 	}
+	p.intVal = make([]bool, p.nExpr)
+	for id, e := range p.exprs {
+		if e != nil {
+			p.intVal[id] = p.integerValued(e)
+		}
+	}
 
 	p.conRoot = make([]int32, len(m.constraints))
 	p.isConRoot = make([]int32, p.nExpr)
@@ -215,14 +254,30 @@ func (p *prepared) refreshPatched(m *Model) bool {
 			stack = append(stack, id)
 		}
 	}
+	flipped := false // a patched constant became, or stopped being, an integer
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		if p.exprs[id].Op == OpConst && p.intVal[id] != p.integerValued(p.exprs[id]) {
+			flipped = true
+		}
 		for _, pid := range p.parents[id] {
 			if !covered[pid] {
 				covered[pid] = true
 				stack = append(stack, pid)
 			}
+		}
+	}
+	if flipped {
+		// Re-derive integrality over everything covering a patched
+		// constant, children before parents.
+		ids := make([]int32, 0, len(covered))
+		for id := range covered {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		for _, id := range ids {
+			p.intVal[id] = p.integerValued(p.exprs[id])
 		}
 	}
 	ciToLin := map[int]int{}
@@ -255,6 +310,29 @@ func (p *prepared) refreshPatched(m *Model) bool {
 		ls.terms, ls.k = terms, k
 	}
 	return true
+}
+
+// integerValued reports whether e's interval bounds are integers whatever
+// the domains, given its arguments' intVal marks. Division, averages, the
+// standard deviation and if-then-else are excluded: the first three can be
+// fractional, and an if-then-else can switch branches when an emptied
+// domain reverses an interval, so its value is not bounded by its root
+// interval.
+func (p *prepared) integerValued(e *Expr) bool {
+	switch e.Op {
+	case OpConst:
+		return e.K == math.Trunc(e.K)
+	case OpVar, OpCountDistinct:
+		return true
+	case OpAdd, OpSub, OpMul, OpNeg, OpAbs, OpMin, OpMax, OpSum, OpSumAbs:
+		for _, a := range e.Args {
+			if !p.intVal[a.ID] {
+				return false
+			}
+		}
+		return true
+	}
+	return e.Op.IsBool()
 }
 
 // classifyShape names the propagator shape a constraint grounds into.
@@ -314,8 +392,9 @@ type ivStore struct {
 	dom  []Domain
 	memo []Interval
 
-	inHeap []bool
-	heap   []int32
+	flag []uint8    // per node: nodeQueued, nodeDead, nodeDeltaSum, nodePending
+	pend []Interval // per node: the delta-updated value of a nodePending sum
+	heap []int32
 
 	domTrail []domSave
 	ivTrail  []ivSave
@@ -329,6 +408,26 @@ type ivStore struct {
 	failedCon int32 // constraint index, -1 when none
 }
 
+// Per-node store flags.
+const (
+	// nodeQueued: the node is in the dirty heap.
+	nodeQueued uint8 = 1 << iota
+	// nodeDead: nothing the search reads depends on the node in this solve
+	// (see dispose), so it is never queued and its interval stays at its
+	// root value.
+	nodeDead
+	// nodeDeltaSum: an integer-valued OpSum whose partial sums are exact in
+	// this solve, so flush updates it by delta (see touch).
+	nodeDeltaSum
+	// nodePending: a queued nodeDeltaSum whose new value is already in pend.
+	nodePending
+)
+
+// deltaExact bounds the magnitudes for which integer sums are exact by
+// delta: 2^50 leaves room below 2^53 for the 0/1 of every boolean argument
+// besides (see exactSum).
+const deltaExact = 1 << 50
+
 func (st *ivStore) iv(e *Expr) Interval    { return st.memo[e.ID] }
 func (st *ivStore) domainOf(v *Var) Domain { return st.dom[v.ID] }
 
@@ -337,7 +436,7 @@ func newIvStore(m *Model, p *prepared) *ivStore {
 		p:         p,
 		dom:       make([]Domain, len(m.vars)),
 		memo:      make([]Interval, p.nExpr),
-		inHeap:    make([]bool, p.nExpr),
+		flag:      make([]uint8, p.nExpr),
 		failedCon: -1,
 	}
 	for i, v := range m.vars {
@@ -349,7 +448,62 @@ func newIvStore(m *Model, p *prepared) *ivStore {
 			st.memo[id] = st.recompute(e)
 		}
 	}
+	for id, e := range p.exprs {
+		if e != nil && e.Op == OpSum && st.exactSum(e) {
+			if st.pend == nil {
+				st.pend = make([]Interval, p.nExpr)
+			}
+			st.flag[id] |= nodeDeltaSum
+		}
+	}
 	return st
+}
+
+// exactSum reports whether every partial sum of the OpSum e stays an exact
+// integer for the whole solve, so that flush may update it by delta: its
+// arguments are integer-valued and their root bounds add up, in magnitude,
+// to less than deltaExact. Domains only shrink, so each argument stays
+// inside its root interval (a boolean, in {0,1}), and old-out/new-in then
+// equals a fresh left-to-right sum bit for bit.
+func (st *ivStore) exactSum(e *Expr) bool {
+	mass := 0.0
+	for _, a := range e.Args {
+		if !st.p.intVal[a.ID] {
+			return false
+		}
+		iv := st.memo[a.ID]
+		mass += math.Max(math.Abs(iv.Lo), math.Abs(iv.Hi))
+	}
+	return mass < deltaExact
+}
+
+// dispose takes every constraint whose root interval is already true out
+// of the solve: only nodes that a constraint not yet entailed or the
+// objective reads stay live, and flush never queues the others. Interval
+// evaluation is inclusion-monotone and domains only shrink below the root,
+// so an entailed constraint stays true in every search state; nothing it
+// alone reads can change a pruning decision.
+func (st *ivStore) dispose(obj *Expr) {
+	p := st.p
+	for id := range st.flag {
+		st.flag[id] |= nodeDead
+	}
+	for _, root := range p.conRoot {
+		if !st.memo[root].True() {
+			st.flag[root] &^= nodeDead
+		}
+	}
+	if obj != nil {
+		st.flag[obj.ID] &^= nodeDead
+	}
+	// Descending ID order visits parents before their arguments.
+	for id := len(p.exprs) - 1; id >= 0; id-- {
+		if e := p.exprs[id]; e != nil && st.flag[id]&nodeDead == 0 {
+			for _, a := range e.Args {
+				st.flag[a.ID] &^= nodeDead
+			}
+		}
+	}
 }
 
 // recompute computes e's interval reading children straight from the memo
@@ -445,10 +599,10 @@ func (st *ivStore) setDom(vid int, d Domain) {
 }
 
 func (st *ivStore) markDirty(id int32) {
-	if st.inHeap[id] {
+	if st.flag[id]&(nodeQueued|nodeDead) != 0 {
 		return
 	}
-	st.inHeap[id] = true
+	st.flag[id] |= nodeQueued
 	st.heap = append(st.heap, id)
 	// Sift up.
 	i := len(st.heap) - 1
@@ -492,19 +646,26 @@ func (st *ivStore) popDirty() int32 {
 func (st *ivStore) flush() {
 	for len(st.heap) > 0 {
 		id := st.popDirty()
-		st.inHeap[id] = false
+		f := st.flag[id]
+		st.flag[id] = f &^ (nodeQueued | nodePending)
 		e := st.p.exprs[id]
 		if e == nil {
 			continue
 		}
-		niv := st.recompute(e)
-		if niv == st.memo[id] {
+		var niv Interval
+		if f&nodePending != 0 {
+			niv = st.pend[id]
+		} else {
+			niv = st.recompute(e)
+		}
+		old := st.memo[id]
+		if niv == old {
 			continue
 		}
-		st.ivTrail = append(st.ivTrail, ivSave{id, st.memo[id]})
+		st.ivTrail = append(st.ivTrail, ivSave{id, old})
 		st.memo[id] = niv
 		for _, pid := range st.p.parents[id] {
-			st.markDirty(pid)
+			st.touch(pid, old, niv)
 		}
 		if st.watchCons && niv.False() && st.failedCon < 0 {
 			if ci := st.p.isConRoot[id]; ci != 0 {
@@ -512,6 +673,39 @@ func (st *ivStore) flush() {
 			}
 		}
 	}
+}
+
+// touch queues parent pid after one of its arguments changed from old to
+// niv. A delta sum takes the change by subtracting old and adding niv to
+// its current (or already pending) value, unless a value involved is not
+// finite and below deltaExact — an emptied domain reverses an interval to
+// infinities — or the node is already queued for a full recompute; then it
+// is recomputed in full when popped.
+func (st *ivStore) touch(pid int32, old, niv Interval) {
+	f := st.flag[pid]
+	if f&nodeDead != 0 {
+		return
+	}
+	if f&nodeDeltaSum != 0 && (f&nodeQueued == 0 || f&nodePending != 0) {
+		base := st.memo[pid]
+		if f&nodePending != 0 {
+			base = st.pend[pid]
+		}
+		if exactIv(base) && exactIv(old) && exactIv(niv) {
+			st.pend[pid] = Interval{base.Lo - old.Lo + niv.Lo, base.Hi - old.Hi + niv.Hi}
+			st.flag[pid] |= nodePending
+			st.markDirty(pid)
+			return
+		}
+	}
+	st.flag[pid] &^= nodePending
+	st.markDirty(pid)
+}
+
+// exactIv reports whether both bounds are finite with magnitude below
+// deltaExact (false for NaN).
+func exactIv(iv Interval) bool {
+	return math.Abs(iv.Lo) < deltaExact && math.Abs(iv.Hi) < deltaExact
 }
 
 // storeMark captures the trail positions for backtracking.
@@ -555,7 +749,10 @@ type linSave struct {
 // each term's contribution interval under the current domains, sumLo/sumHi
 // their totals. A domain event updates the caches by delta, so the
 // propagator's feasibility test is O(1) and its tightening pass never
-// rescans unchanged terms to rebuild the sums.
+// rescans unchanged terms to rebuild the sums. span is the widest term
+// contribution interval at the root: while the slack on every checked side
+// is at least span, no term can be tightened (see propagateOne). An
+// entailed constraint is out of the solve: no domain event reaches it.
 type linCon struct {
 	terms        []linTerm
 	op           Op
@@ -563,6 +760,8 @@ type linCon struct {
 	ci           int32
 	lo, hi       []float64
 	sumLo, sumHi float64
+	span         float64
+	entailed     bool
 }
 
 type linEngine struct {
@@ -593,9 +792,20 @@ func newLinEngine(p *prepared, dom []Domain) *linEngine {
 			c.lo[ti], c.hi[ti] = termBounds(t.coef, dom[t.v.ID])
 			c.sumLo += c.lo[ti]
 			c.sumHi += c.hi[ti]
+			c.span = math.Max(c.span, c.hi[ti]-c.lo[ti])
 		}
 	}
 	return le
+}
+
+// dropEntailed takes the constraints whose root interval in st is already
+// true out of the solve (see ivStore.dispose): an entailed linear
+// constraint can neither fail nor tighten a domain.
+func (le *linEngine) dropEntailed(st *ivStore) {
+	for i := range le.cons {
+		c := &le.cons[i]
+		c.entailed = st.memo[st.p.conRoot[c.ci]].True()
+	}
 }
 
 // update refreshes the cached contribution of vid in every watching
@@ -603,6 +813,9 @@ func newLinEngine(p *prepared, dom []Domain) *linEngine {
 func (le *linEngine) update(vid int, d Domain) {
 	for _, ref := range le.byVar[vid] {
 		c := &le.cons[ref.con]
+		if c.entailed {
+			continue
+		}
 		ti := ref.term
 		lo, hi := termBounds(c.terms[ti].coef, d)
 		le.trail = append(le.trail, linSave{ref.con, ti, c.lo[ti], c.hi[ti], c.sumLo, c.sumHi})
@@ -671,6 +884,8 @@ type esearcher struct {
 	tmpGen []uint64 // uint64: a capped-only-by-time search must never wrap
 	tmpCur uint64
 
+	keepBuf []int64 // forward checking's kept values, reused across calls
+
 	lastConflict int32 // constraint index blamed for the last failure, -1 none
 }
 
@@ -713,6 +928,10 @@ func (m *Model) solveEvent(state *searchState, sol *Solution) {
 			sol.Status = StatusInfeasible
 			return
 		}
+	}
+	s.st.dispose(m.objective)
+	if s.lin != nil {
+		s.lin.dropEntailed(s.st)
 	}
 
 	complete := s.dfs(0)
@@ -896,8 +1115,12 @@ func (s *esearcher) eventBoundOK() bool {
 // after a successful narrowing.
 func (le *linEngine) propagateFrom(s *esearcher, vid int) bool {
 	for _, ref := range le.byVar[vid] {
-		if !le.propagateOne(s, &le.cons[ref.con]) {
-			s.lastConflict = le.cons[ref.con].ci
+		c := &le.cons[ref.con]
+		if c.entailed {
+			continue
+		}
+		if !le.propagateOne(s, c) {
+			s.lastConflict = c.ci
 			return false
 		}
 	}
@@ -914,6 +1137,11 @@ restart:
 	}
 	if checkGe && maxSum < c.k-1e-9 {
 		return false
+	}
+	// A term is tightened only when a checked side's slack is below its
+	// current contribution span, which is at most its root span.
+	if (!checkLe || c.k-minSum >= c.span) && (!checkGe || maxSum-c.k >= c.span) {
+		return true
 	}
 	// Tighten each free variable from the residual.
 	for ti := range c.terms {
@@ -956,20 +1184,15 @@ restart:
 		if float64(d.Min()) >= float64(iLo) && float64(d.Max()) <= float64(iHi) {
 			continue // nothing to prune
 		}
-		kept := make([]int64, 0, d.Size())
-		for _, v := range d.Values() {
-			if v >= iLo && v <= iHi {
-				kept = append(kept, v)
-			}
-		}
-		if len(kept) == 0 {
+		kept := d.within(iLo, iHi)
+		if kept.Empty() {
 			return false
 		}
-		if len(kept) < d.Size() {
-			s.narrow(t.v.ID, domainFromSorted(kept))
-			if len(kept) == 1 {
+		if kept.Size() < d.Size() {
+			s.narrow(t.v.ID, kept)
+			if kept.Size() == 1 {
 				s.assigned[t.v.ID] = true
-				s.assign[t.v.ID] = kept[0]
+				s.assign[t.v.ID] = kept.Min()
 			}
 			// The caches now reflect the narrowing; rescan this constraint.
 			goto restart
@@ -995,8 +1218,16 @@ func (s *esearcher) narrow(vid int, d Domain) {
 // dropped. Trials run on the scratch overlay (trialFalse), so a candidate
 // costs one walk of the variable's cone inside that constraint — no domain
 // change, no trail, no interval recomputation elsewhere in the DAG.
+//
+// A constraint whose interval is already true is skipped: every trial
+// interval lies inside it, so no trial can fail. Kept values are collected
+// in a reusable buffer; a contiguous run narrows to a view of the current
+// domain, and only a run with gaps is copied out.
 func (s *esearcher) forwardCheck(vid int) bool {
 	for _, ci := range s.prep.varCons[vid] {
+		if s.st.memo[s.prep.conRoot[ci]].True() {
+			continue
+		}
 		free := -1
 		nFree := 0
 		for _, w := range s.prep.conVars[ci] {
@@ -1012,18 +1243,28 @@ func (s *esearcher) forwardCheck(vid int) bool {
 			continue
 		}
 		dom := s.st.dom[free]
-		keep := make([]int64, 0, dom.Size())
-		for _, val := range dom.Values() {
+		vals := dom.Values()
+		keep := s.keepBuf[:0]
+		first := 0
+		for i, val := range vals {
 			if !s.trialFalse(ci, free, val) {
+				if len(keep) == 0 {
+					first = i
+				}
 				keep = append(keep, val)
 			}
 		}
+		s.keepBuf = keep
 		if len(keep) == 0 {
 			s.lastConflict = ci
 			return false
 		}
-		if len(keep) < dom.Size() {
-			s.narrow(free, domainFromSorted(keep))
+		if len(keep) < len(vals) {
+			nd := Domain{vals: vals[first : first+len(keep)]}
+			if nd.Max() != keep[len(keep)-1] {
+				nd = domainFromSorted(append([]int64(nil), keep...))
+			}
+			s.narrow(free, nd)
 			s.st.flush()
 			if len(keep) == 1 {
 				s.assigned[free] = true
@@ -1126,7 +1367,9 @@ func (s *esearcher) recordSolution() {
 func (s *esearcher) scheduleVar(vid int) {
 	if s.lin != nil {
 		for _, ref := range s.lin.byVar[vid] {
-			s.schedule(ref.con)
+			if !s.lin.cons[ref.con].entailed {
+				s.schedule(ref.con)
+			}
 		}
 	}
 	base := int32(0)
@@ -1161,7 +1404,7 @@ func (s *esearcher) runQueue() bool {
 		ok := true
 		if pi < nLin {
 			c := &s.lin.cons[pi]
-			ok = s.lin.propagateOne(s, c)
+			ok = c.entailed || s.lin.propagateOne(s, c)
 			if !ok {
 				s.lastConflict = c.ci
 			}

@@ -189,59 +189,131 @@ func TestEventEngineTraceMatchesLegacy(t *testing.T) {
 }
 
 // TestIncrementalStoreMatchesEvaluator drives both interval engines through
-// the same random narrow/undo script and requires bitwise-identical bounds
-// on every node after every step.
+// the same random narrow/undo script and requires identical bounds on every
+// node after every step. Four cases: integer data, where integer
+// sums take flush's delta update; fractional constants, where they must be
+// recomputed in full; a PatchConst between solves that turns integer
+// constants fractional, so the prepared integrality marks must follow it;
+// and emptied domains, whose reversed infinite intervals must also force
+// the full recompute.
 func TestIncrementalStoreMatchesEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
+		storeScript(t, fmt.Sprintf("integer trial %d", trial), randomModel(rng), rng, false)
+	}
+	for trial := 0; trial < 60; trial++ {
 		m := randomModel(rng)
-		prep := m.prepare()
-		st := newIvStore(m, prep)
-		ev := newEvaluator(m)
-		check := func(step string) {
-			ev.nextGen()
-			for id, e := range prep.exprs {
-				if e == nil {
-					continue
-				}
-				if got, want := st.memo[id], ev.interval(e); got != want {
-					t.Fatalf("trial %d %s: node %d (%s): store %v evaluator %v",
-						trial, step, id, e, got, want)
-				}
+		for _, c := range constNodes(m) {
+			m.PatchConst(c, c.K+0.1)
+		}
+		storeScript(t, fmt.Sprintf("fractional trial %d", trial), m, rng, false)
+	}
+	for trial := 0; trial < 60; trial++ {
+		m := randomModel(rng)
+		storeScript(t, fmt.Sprintf("patch trial %d before", trial), m, rng, false)
+		for _, c := range constNodes(m) {
+			if rng.Intn(2) == 0 {
+				m.PatchConst(c, c.K/3)
 			}
 		}
-		check("initial")
-		type frame struct {
-			mk  storeMark
-			vid int
-			dom Domain
+		storeScript(t, fmt.Sprintf("patch trial %d after", trial), m, rng, false)
+	}
+	for trial := 0; trial < 60; trial++ {
+		m := randomModel(rng)
+		// A sum over min, max and a difference: with one argument emptied,
+		// a term keeps an infinite bound while its other bound still moves.
+		x, y := m.VarExpr(m.Vars()[0]), m.VarExpr(m.Vars()[1])
+		m.Require(m.Ge(m.Sum(m.Max(x, y), m.Min(x, y), m.Sub(x, y)), m.ConstInt(0)))
+		storeScript(t, fmt.Sprintf("empty trial %d", trial), m, rng, true)
+	}
+}
+
+// constNodes returns the constant nodes reachable from m's constraints and
+// objective, each once.
+func constNodes(m *Model) []*Expr {
+	seen := map[*Expr]bool{}
+	var out []*Expr
+	var walk func(e *Expr)
+	walk = func(e *Expr) {
+		if seen[e] {
+			return
 		}
-		var stack []frame
-		for step := 0; step < 40; step++ {
-			if len(stack) > 0 && rng.Intn(3) == 0 {
-				f := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				st.undoTo(f.mk)
-				ev.dom[f.vid] = f.dom
-				ev.nextGen()
-				check("undo")
+		seen[e] = true
+		if e.Op == OpConst {
+			out = append(out, e)
+		}
+		for _, a := range e.Args {
+			walk(a)
+		}
+	}
+	for _, c := range m.Constraints() {
+		walk(c)
+	}
+	if obj, _ := m.Objective(); obj != nil {
+		walk(obj)
+	}
+	return out
+}
+
+// sameIv reports whether two intervals are equal, counting NaN bounds as
+// equal to each other (an emptied domain can produce them). The store keeps
+// a memo whose new value compares equal, so -0 and +0 count as equal.
+func sameIv(a, b Interval) bool {
+	same := func(x, y float64) bool { return x == y || math.IsNaN(x) && math.IsNaN(y) }
+	return same(a.Lo, b.Lo) && same(a.Hi, b.Hi)
+}
+
+// storeScript runs one random narrow/undo script over a fresh store and
+// evaluator for m and compares them after every step. With empties, a
+// narrowing sometimes empties the domain.
+func storeScript(t *testing.T, label string, m *Model, rng *rand.Rand, empties bool) {
+	t.Helper()
+	prep := m.prepare()
+	st := newIvStore(m, prep)
+	ev := newEvaluator(m)
+	check := func(step string) {
+		ev.nextGen()
+		for id, e := range prep.exprs {
+			if e == nil {
 				continue
 			}
-			vid := rng.Intn(len(m.Vars()))
-			d := st.dom[vid]
-			if d.Size() <= 1 {
-				continue
+			if got, want := st.memo[id], ev.interval(e); !sameIv(got, want) {
+				t.Fatalf("%s %s: node %d (%s): store %v evaluator %v",
+					label, step, id, e, got, want)
 			}
-			vals := d.Values()
-			keep := vals[:1+rng.Intn(len(vals))]
-			nd := NewDomain(keep...)
-			stack = append(stack, frame{st.mark(), vid, d})
-			st.setDom(vid, nd)
-			st.flush()
-			ev.dom[vid] = nd
-			ev.nextGen()
-			check("narrow")
 		}
+	}
+	check("initial")
+	type frame struct {
+		mk  storeMark
+		vid int
+		dom Domain
+	}
+	var stack []frame
+	for step := 0; step < 40; step++ {
+		if len(stack) > 0 && rng.Intn(3) == 0 {
+			f := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			st.undoTo(f.mk)
+			ev.dom[f.vid] = f.dom
+			check("undo")
+			continue
+		}
+		vid := rng.Intn(len(m.Vars()))
+		d := st.dom[vid]
+		if d.Size() <= 1 {
+			continue
+		}
+		vals := d.Values()
+		nd := NewDomain(vals[:1+rng.Intn(len(vals))]...)
+		if empties && rng.Intn(4) == 0 {
+			nd = Domain{}
+		}
+		stack = append(stack, frame{st.mark(), vid, d})
+		st.setDom(vid, nd)
+		st.flush()
+		ev.dom[vid] = nd
+		check("narrow")
 	}
 }
 
